@@ -26,28 +26,28 @@ const artifactVersion = 2
 
 // sweepArtifactKey fingerprints one winner-selection sweep: the sweep
 // kind plus the content fingerprint of every config it would run, in
-// order. Anything that changes any underlying simulation — app, side,
-// organization, associativity, schedule, engine, instruction budget,
-// energy model, the sim.Key encoding itself — changes some cfg.Key()
-// and therefore the artifact key, so no Options field needs to be
-// enumerated here.
-func sweepArtifactKey(kind string, cfgs []sim.Config) sim.Key {
+// order (keys, from sim.Keys). Anything that changes any underlying
+// simulation — app, side, organization, associativity, schedule,
+// engine, instruction budget, energy model, the sim.Key encoding itself
+// — changes some cfg.Key() and therefore the artifact key, so no
+// Options field needs to be enumerated here.
+func sweepArtifactKey(kind string, keys []sim.Key) sim.Key {
 	b := sim.NewKeyBuilder("experiment/sweep")
 	b.Int(artifactVersion)
 	b.Str(kind)
-	for _, cfg := range cfgs {
-		b.RawKey(cfg.Key())
+	for _, k := range keys {
+		b.RawKey(k)
 	}
 	return b.Sum()
 }
 
 // cachedBest resolves a sweep's Best through the runner's artifact
-// cache, running compute only on a cold fingerprint. A payload that no
-// longer decodes (e.g. a store written by a foreign build) falls back
-// to the direct sweep and repairs both cache tiers with the fresh
-// payload, so the broken bytes cost one recompute, not one per call.
-func cachedBest(ctx context.Context, r *runner.Runner, kind string, cfgs []sim.Config, compute func(context.Context) (Best, error)) (Best, error) {
-	key := sweepArtifactKey(kind, cfgs)
+// cache under the sweep's artifact key, running compute only on a cold
+// fingerprint. A payload that no longer decodes (e.g. a store written by
+// a foreign build) falls back to the direct sweep and repairs both cache
+// tiers with the fresh payload, so the broken bytes cost one recompute,
+// not one per call.
+func cachedBest(ctx context.Context, r *runner.Runner, key sim.Key, compute func(context.Context) (Best, error)) (Best, error) {
 	data, err := r.Artifact(ctx, key, func(ctx context.Context) ([]byte, error) {
 		best, err := compute(ctx)
 		if err != nil {

@@ -98,10 +98,10 @@ func (o Options) runner() *runner.Runner {
 	return runner.Default()
 }
 
-// runAll submits a batch through the configured runner, honouring the
-// sweep-level parallelism bound.
-func (o Options) runAll(ctx context.Context, cfgs []sim.Config) ([]sim.Result, error) {
-	return o.runner().RunAllLimit(ctx, cfgs, o.Parallelism)
+// runAll submits a batch (keys from sim.Keys) through the configured
+// runner, honouring the sweep-level parallelism bound.
+func (o Options) runAll(ctx context.Context, cfgs []sim.Config, keys []sim.Key) ([]sim.Result, error) {
+	return o.runner().RunAllLimit(ctx, cfgs, keys, o.Parallelism)
 }
 
 // l1Geom returns the experiments' 32K L1 geometry at a set-associativity.
@@ -301,7 +301,7 @@ func (s SweepSpec) ArtifactKey() (sim.Key, error) {
 	if err != nil {
 		return sim.Key{}, err
 	}
-	return sweepArtifactKey(s.kind(), cfgs), nil
+	return sweepArtifactKey(s.kind(), sim.Keys(cfgs)), nil
 }
 
 // sweep enumerates the batch the spec would run — the baseline followed
@@ -370,7 +370,8 @@ func BestSpecContext(ctx context.Context, spec SweepSpec, opts Options) (Best, e
 	if err != nil {
 		return Best{}, err
 	}
-	return cachedBest(ctx, opts.runner(), spec.kind(), cfgs, func(ctx context.Context) (Best, error) {
+	keys := sim.Keys(cfgs)
+	return cachedBest(ctx, opts.runner(), sweepArtifactKey(spec.kind(), keys), func(ctx context.Context) (Best, error) {
 		// Batch-enqueue the candidate set before gathering, so a solo
 		// sweep (a single Session.Simulate, cmd/respcache) coalesces its
 		// same-front candidates into gangs exactly like a plan's
@@ -379,14 +380,14 @@ func BestSpecContext(ctx context.Context, spec SweepSpec, opts Options) (Best, e
 		// Parallelism, which Enqueue's pool-wide dispatch cannot honour.
 		if opts.Parallelism <= 0 {
 			enqCtx, stopEnqueue := context.WithCancel(ctx)
-			_, waitEnqueued := opts.runner().Enqueue(enqCtx, cfgs)
+			_, waitEnqueued := opts.runner().Enqueue(enqCtx, cfgs, keys)
 			defer func() {
 				// Abandon stragglers on error; see Enqueue's wait contract.
 				stopEnqueue()
 				waitEnqueued()
 			}()
 		}
-		res, err := opts.runAll(ctx, cfgs)
+		res, err := opts.runAll(ctx, cfgs, keys)
 		if err != nil {
 			return Best{}, err
 		}
@@ -417,6 +418,7 @@ func EnqueueSweeps(ctx context.Context, specs []SweepSpec, opts Options) (int, f
 	r := opts.runner()
 	seen := make(map[sim.Key]bool)
 	var cfgs []sim.Config
+	var keys []sim.Key
 	for _, spec := range specs {
 		if checkSweepSide(spec.Side) != nil {
 			continue
@@ -425,20 +427,22 @@ func EnqueueSweeps(ctx context.Context, specs []SweepSpec, opts Options) (int, f
 		if err != nil {
 			continue
 		}
-		if r.HasArtifact(sweepArtifactKey(spec.kind(), scfgs)) {
+		skeys := sim.Keys(scfgs)
+		if r.HasArtifact(sweepArtifactKey(spec.kind(), skeys)) {
 			continue
 		}
-		for i := range scfgs {
-			if k := scfgs[i].Key(); !seen[k] {
+		for i, k := range skeys {
+			if !seen[k] {
 				seen[k] = true
 				cfgs = append(cfgs, scfgs[i])
+				keys = append(keys, k)
 			}
 		}
 	}
 	if len(cfgs) == 0 {
 		return 0, func() {}
 	}
-	return r.Enqueue(ctx, cfgs)
+	return r.Enqueue(ctx, cfgs, keys)
 }
 
 // BestStatic profiles every schedule point of an organization (the

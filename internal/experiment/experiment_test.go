@@ -173,7 +173,7 @@ func TestRunAllPropagatesErrors(t *testing.T) {
 	cfgs[0].Instructions = 1000
 	opts := DefaultOptions()
 	opts.Runner = runner.New(runner.Options{Workers: 2})
-	if _, err := opts.runAll(context.Background(), cfgs); err == nil {
+	if _, err := opts.runAll(context.Background(), cfgs, sim.Keys(cfgs)); err == nil {
 		t.Fatal("bad config did not surface")
 	}
 }
@@ -349,10 +349,10 @@ func TestCachedBestRepairsUndecodablePayload(t *testing.T) {
 	store := runner.NewMemStore()
 	cfg := sim.Default("gcc")
 	cfg.Instructions = 1000
-	cfgs := []sim.Config{cfg}
+	key := sweepArtifactKey("best-static", sim.Keys([]sim.Config{cfg}))
 	// Valid JSON (so every Store backend keeps it) that does not decode
 	// into a Best payload.
-	store.RecordArtifact(sweepArtifactKey("best-static", cfgs), []byte("[1,2,3]"))
+	store.RecordArtifact(key, []byte("[1,2,3]"))
 
 	var computes int
 	want := Best{App: "gcc", Desc: "static 8K/2-way"}
@@ -362,7 +362,7 @@ func TestCachedBestRepairsUndecodablePayload(t *testing.T) {
 	}
 	ctx := context.Background()
 	r1 := runner.New(runner.Options{Store: store})
-	got, err := cachedBest(ctx, r1, "best-static", cfgs, compute)
+	got, err := cachedBest(ctx, r1, key, compute)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -373,12 +373,12 @@ func TestCachedBestRepairsUndecodablePayload(t *testing.T) {
 		t.Fatalf("computed %d times, want 1", computes)
 	}
 	// Same runner: the repaired in-memory tier must decode.
-	if _, err := cachedBest(ctx, r1, "best-static", cfgs, compute); err != nil {
+	if _, err := cachedBest(ctx, r1, key, compute); err != nil {
 		t.Fatal(err)
 	}
 	// Fresh runner, same store: the repaired persistent tier must decode.
 	r2 := runner.New(runner.Options{Store: store})
-	again, err := cachedBest(ctx, r2, "best-static", cfgs, compute)
+	again, err := cachedBest(ctx, r2, key, compute)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -398,17 +398,17 @@ func TestSweepArtifactKeySeparatesSweeps(t *testing.T) {
 		c.Instructions = n
 		return []sim.Config{c}
 	}
-	a := sweepArtifactKey("best-static", cfgs("gcc", 1000))
-	if b := sweepArtifactKey("best-static", cfgs("gcc", 1000)); a != b {
+	a := sweepArtifactKey("best-static", sim.Keys(cfgs("gcc", 1000)))
+	if b := sweepArtifactKey("best-static", sim.Keys(cfgs("gcc", 1000))); a != b {
 		t.Error("identical sweeps fingerprint apart")
 	}
-	if b := sweepArtifactKey("best-dynamic", cfgs("gcc", 1000)); a == b {
+	if b := sweepArtifactKey("best-dynamic", sim.Keys(cfgs("gcc", 1000))); a == b {
 		t.Error("sweep kind does not move the fingerprint")
 	}
-	if b := sweepArtifactKey("best-static", cfgs("vpr", 1000)); a == b {
+	if b := sweepArtifactKey("best-static", sim.Keys(cfgs("vpr", 1000))); a == b {
 		t.Error("config contents do not move the fingerprint")
 	}
-	if b := sweepArtifactKey("best-static", append(cfgs("gcc", 1000), cfgs("gcc", 2000)...)); a == b {
+	if b := sweepArtifactKey("best-static", sim.Keys(append(cfgs("gcc", 1000), cfgs("gcc", 2000)...))); a == b {
 		t.Error("config count does not move the fingerprint")
 	}
 }

@@ -120,14 +120,14 @@ func IntervalSensitivityContext(ctx context.Context, opts Options) ([]Sensitivit
 		}
 	}
 	enqCtx, stopEnqueue := context.WithCancel(ctx)
-	_, wait := opts.runner().Enqueue(enqCtx, batch)
+	_, wait := opts.runner().Enqueue(enqCtx, batch, sim.Keys(batch))
 	defer func() { stopEnqueue(); wait() }()
 	var out []SensitivityRow
 	for _, interval := range intervals {
 		var edp, size float64
 		for _, app := range apps {
 			p := pair(interval, app)
-			res, err := opts.runAll(ctx, p[:])
+			res, err := opts.runAll(ctx, p[:], sim.Keys(p[:]))
 			if err != nil {
 				return nil, err
 			}

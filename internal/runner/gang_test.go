@@ -66,7 +66,7 @@ func TestEnqueueCoalescesGangs(t *testing.T) {
 	for i := range cfgs {
 		cfgs[i] = gangCfgN("gcc", i)
 	}
-	n, wait := r.Enqueue(ctx, cfgs)
+	n, wait := r.Enqueue(ctx, cfgs, sim.Keys(cfgs))
 	wait()
 	if n != 10 {
 		t.Fatalf("enqueued %d, want 10", n)
@@ -108,7 +108,7 @@ func TestEnqueueGangsOnlyWithinFrontGroups(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		cfgs = append(cfgs, gangCfgN("gcc", i), gangCfgN("vpr", i))
 	}
-	_, wait := r.Enqueue(context.Background(), cfgs)
+	_, wait := r.Enqueue(context.Background(), cfgs, sim.Keys(cfgs))
 	wait()
 
 	if got := rec.sizes(); !reflect.DeepEqual(got, []int{3, 3}) {
@@ -139,7 +139,7 @@ func TestEnqueueSingletonGroupsRunSolo(t *testing.T) {
 	})
 	// Three distinct fronts, one config each: nothing to coalesce.
 	cfgs := []sim.Config{cfgN(1), cfgN(2), cfgN(3)}
-	_, wait := r.Enqueue(context.Background(), cfgs)
+	_, wait := r.Enqueue(context.Background(), cfgs, sim.Keys(cfgs))
 	wait()
 	if len(rec.sizes()) != 0 {
 		t.Errorf("gang dispatched for singleton groups: %v", rec.sizes())
@@ -166,7 +166,7 @@ func TestGangSizeOneDisablesCoalescing(t *testing.T) {
 	for i := range cfgs {
 		cfgs[i] = gangCfgN("gcc", i)
 	}
-	_, wait := r.Enqueue(context.Background(), cfgs)
+	_, wait := r.Enqueue(context.Background(), cfgs, sim.Keys(cfgs))
 	wait()
 	if len(rec.sizes()) != 0 || solo.Load() != 4 {
 		t.Errorf("gang batches %v, solo %d; want none ganged, 4 solo",
@@ -190,7 +190,7 @@ func TestGangErrorFallsBackToSolo(t *testing.T) {
 	for i := range cfgs {
 		cfgs[i] = gangCfgN("gcc", i)
 	}
-	_, wait := r.Enqueue(ctx, cfgs)
+	_, wait := r.Enqueue(ctx, cfgs, sim.Keys(cfgs))
 	wait()
 	if got := solo.Load(); got != 3 {
 		t.Errorf("%d solo fallback simulations, want 3", got)
@@ -221,7 +221,7 @@ func TestGangSkipsStoreHits(t *testing.T) {
 	for i := range cfgs {
 		cfgs[i] = gangCfgN("gcc", i)
 	}
-	_, wait := r.Enqueue(context.Background(), cfgs)
+	_, wait := r.Enqueue(context.Background(), cfgs, sim.Keys(cfgs))
 	wait()
 
 	if got := rec.sizes(); !reflect.DeepEqual(got, []int{3}) {
@@ -248,7 +248,7 @@ func TestStubbedRunSimGetsSequentialGang(t *testing.T) {
 	for i := range cfgs {
 		cfgs[i] = gangCfgN("gcc", i)
 	}
-	_, wait := r.Enqueue(context.Background(), cfgs)
+	_, wait := r.Enqueue(context.Background(), cfgs, sim.Keys(cfgs))
 	wait()
 	if got := calls.Load(); got != 3 {
 		t.Errorf("stub called %d times, want 3", got)
@@ -274,7 +274,7 @@ func TestRealGangThroughRunner(t *testing.T) {
 		c.DCache.Geom.SizeBytes = kb << 10
 		cfgs = append(cfgs, c)
 	}
-	_, wait := r.Enqueue(ctx, cfgs)
+	_, wait := r.Enqueue(ctx, cfgs, sim.Keys(cfgs))
 	wait()
 	if st := r.Stats(); st.Ganged != 3 || st.GangBatches != 1 {
 		t.Fatalf("stats = %+v, want 3 ganged in 1 batch", st)

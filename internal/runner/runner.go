@@ -367,8 +367,12 @@ func (r *Runner) Stats() Stats {
 // memoized like results, except cancellation errors, which evict the
 // entry so a later live context can retry.
 func (r *Runner) Run(ctx context.Context, cfg sim.Config) (sim.Result, error) {
+	return r.run(ctx, cfg.Key(), cfg)
+}
+
+// run is Run for a config whose fingerprint the caller already holds.
+func (r *Runner) run(ctx context.Context, key sim.Key, cfg sim.Config) (sim.Result, error) {
 	r.submitted.Add(1)
-	key := cfg.Key()
 	for {
 		res, err, retry := r.runKey(ctx, key, cfg)
 		if !retry {
@@ -471,7 +475,9 @@ func (r *Runner) execute(ctx context.Context, key sim.Key, e *entry, cfg sim.Con
 // memoized or executing are skipped. Outcomes land in the memo table
 // and persistent store exactly as if Run had been called; cancelling
 // ctx abandons work that has not started, leaving those fingerprints
-// retryable. Returns the number of configs actually enqueued.
+// retryable. keys[i] must be cfgs[i].Key(): batch callers fingerprint
+// once and share the keys with RunAllLimit. Returns the number of
+// configs actually enqueued.
 //
 // Enqueue is the batch-scheduling primitive behind plan execution: a
 // multi-sweep plan enqueues every profiling simulation in one pass, so
@@ -490,14 +496,14 @@ func (r *Runner) execute(ctx context.Context, key sim.Key, e *entry, cfg sim.Con
 // simulation of up to GangSize members instead of GangSize independent
 // passes. Coalescing is invisible to waiters — outcomes publish to the
 // same entries — and is accounted by the Ganged/GangBatches counters.
-func (r *Runner) Enqueue(ctx context.Context, cfgs []sim.Config) (int, func()) {
+func (r *Runner) Enqueue(ctx context.Context, cfgs []sim.Config, keys []sim.Key) (int, func()) {
+	mustMatch(cfgs, keys)
 	if len(cfgs) == 0 || ctx.Err() != nil {
 		return 0, func() {}
 	}
 	var wg sync.WaitGroup
 	var fresh []gangItem
-	for i := range cfgs {
-		key := cfgs[i].Key()
+	for i, key := range keys {
 		r.mu.Lock()
 		if _, ok := r.entries[key]; ok {
 			r.mu.Unlock()
@@ -665,23 +671,21 @@ func isCancellation(err error) bool {
 // first failing config (by submission index) determines the returned
 // error. Concurrency is bounded by the Runner's shared worker pool.
 func (r *Runner) RunAll(ctx context.Context, cfgs []sim.Config) ([]sim.Result, error) {
-	return r.RunAllLimit(ctx, cfgs, 0)
+	return r.RunAllLimit(ctx, cfgs, sim.Keys(cfgs), 0)
 }
 
-// RunAllLimit is RunAll with an additional per-batch concurrency bound
-// (<= 0 means no extra bound beyond the shared pool). Sweeps use it to
-// honour a caller-requested parallelism below the pool size.
-func (r *Runner) RunAllLimit(ctx context.Context, cfgs []sim.Config, limit int) ([]sim.Result, error) {
+// RunAllLimit is RunAll over precomputed fingerprints (keys[i] must be
+// cfgs[i].Key()) with an additional per-batch concurrency bound (<= 0
+// means no extra bound beyond the shared pool). Sweeps use it to honour
+// a caller-requested parallelism below the pool size.
+func (r *Runner) RunAllLimit(ctx context.Context, cfgs []sim.Config, keys []sim.Key, limit int) ([]sim.Result, error) {
+	mustMatch(cfgs, keys)
 	// A batch that must submit work not already in flight or memoized is
 	// a fan-out barrier: the caller blocks until its own submissions
 	// drain. Batches fully covered by an earlier Enqueue pass (or prior
 	// runs) just join existing entries and are not counted — the Barriers
 	// counter is how batch-scheduled plans prove they gather without
 	// fanning out.
-	keys := make([]sim.Key, len(cfgs))
-	for i := range cfgs {
-		keys[i] = cfgs[i].Key()
-	}
 	fresh := false
 	r.mu.Lock()
 	for _, k := range keys {
@@ -710,7 +714,7 @@ func (r *Runner) RunAllLimit(ctx context.Context, cfgs []sim.Config, limit int) 
 				gate <- struct{}{}
 				defer func() { <-gate }()
 			}
-			results[i], errs[i] = r.Run(ctx, cfgs[i])
+			results[i], errs[i] = r.run(ctx, keys[i], cfgs[i])
 		}(i)
 	}
 	wg.Wait()
@@ -720,4 +724,13 @@ func (r *Runner) RunAllLimit(ctx context.Context, cfgs []sim.Config, limit int) 
 		}
 	}
 	return results, nil
+}
+
+// mustMatch rejects a batch whose fingerprint slice does not pair up
+// with its configs: a misaligned key would memoize one config's outcome
+// under another's fingerprint.
+func mustMatch(cfgs []sim.Config, keys []sim.Key) {
+	if len(cfgs) != len(keys) {
+		panic(fmt.Sprintf("runner: %d configs with %d keys", len(cfgs), len(keys)))
+	}
 }

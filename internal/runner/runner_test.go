@@ -224,7 +224,7 @@ func TestRunAllLimitBoundsConcurrency(t *testing.T) {
 	for i := 0; i < 12; i++ {
 		cfgs = append(cfgs, cfgN(i))
 	}
-	if _, err := r.RunAllLimit(context.Background(), cfgs, 2); err != nil {
+	if _, err := r.RunAllLimit(context.Background(), cfgs, sim.Keys(cfgs), 2); err != nil {
 		t.Fatal(err)
 	}
 	if p := peak.Load(); p > 2 {
@@ -615,7 +615,7 @@ func TestEnqueueRegistersSynchronouslyAndJoins(t *testing.T) {
 		return stubResult(cfg), nil
 	}})
 	cfgs := []sim.Config{cfgN(0), cfgN(1), cfgN(2)}
-	if n, _ := r.Enqueue(context.Background(), cfgs); n != 3 {
+	if n, _ := r.Enqueue(context.Background(), cfgs, sim.Keys(cfgs)); n != 3 {
 		t.Fatalf("enqueued %d configs, want 3", n)
 	}
 	// Entries are registered before Enqueue returns, so a batch gather of
@@ -641,7 +641,7 @@ func TestEnqueueRegistersSynchronouslyAndJoins(t *testing.T) {
 		t.Errorf("gather of enqueued batch counted %d barriers, want 0", st.Barriers)
 	}
 	// A second Enqueue of the same batch finds everything memoized.
-	if n, _ := r.Enqueue(context.Background(), cfgs); n != 0 {
+	if n, _ := r.Enqueue(context.Background(), cfgs, sim.Keys(cfgs)); n != 0 {
 		t.Errorf("warm Enqueue submitted %d configs, want 0", n)
 	}
 }
@@ -682,7 +682,8 @@ func TestEnqueueCancellationLeavesRetryable(t *testing.T) {
 		return stubResult(cfg), nil
 	}})
 	ctx, cancel := context.WithCancel(context.Background())
-	r.Enqueue(ctx, []sim.Config{cfgN(0), cfgN(1)})
+	pair := []sim.Config{cfgN(0), cfgN(1)}
+	r.Enqueue(ctx, pair, sim.Keys(pair))
 	<-started // first owner occupies the single worker; second queues
 	cancel()
 	close(release)
@@ -742,7 +743,8 @@ func TestEnqueueWaitDrainsStragglersBeforeFlush(t *testing.T) {
 		return stubResult(cfg), nil
 	}})
 	ctx, cancel := context.WithCancel(context.Background())
-	n, wait := r.Enqueue(ctx, []sim.Config{cfgN(0), cfgN(1)})
+	pair := []sim.Config{cfgN(0), cfgN(1)}
+	n, wait := r.Enqueue(ctx, pair, sim.Keys(pair))
 	if n != 2 {
 		t.Fatalf("enqueued %d, want 2", n)
 	}

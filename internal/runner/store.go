@@ -1,10 +1,14 @@
 package runner
 
 import (
+	"bytes"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
+	"slices"
 	"sync"
 
 	"resizecache/internal/sim"
@@ -74,49 +78,81 @@ type StoredError struct{ Msg string }
 
 func (e *StoredError) Error() string { return "stored failure: " + e.Msg }
 
-// storeVersion tags the on-disk JSON schema; results written by a
-// different version (or a different sim.Key encoding, which changes the
-// map keys) are discarded on load rather than misapplied.
+// storeVersion tags the on-disk format; a file written by a different
+// version (or a different sim.Key encoding, which changes the keys) is
+// discarded on load rather than misapplied.
 // Version history: 1 = results only; 2 = StoredResult entries (error
-// persistence) + artifacts section.
-const storeVersion = 2
+// persistence) + artifacts section; 3 = append-only journal, one entry
+// per line.
+const storeVersion = 3
 
-// diskFile is the JSON document persisted by a DiskStore.
-type diskFile struct {
-	Version   int                        `json:"version"`
-	Results   map[string]StoredResult    `json:"results"`
-	Artifacts map[string]json.RawMessage `json:"artifacts,omitempty"`
+// journalHeader is the first line of a DiskStore file. Versions 1 and 2
+// wrote the whole store as one single-line JSON document with the same
+// version field, so an old file reads as a foreign version, not as
+// corruption.
+type journalHeader struct {
+	Version int `json:"version"`
 }
 
-// DiskStore is the JSON-file Store implementation: one document mapping
-// hex fingerprints to outcomes and artifacts. It lets long multi-process
-// workflows (cmd/figures regenerating figure after figure) resume
-// without re-simulating configs — or re-deriving sweep winners —
-// completed by earlier runs.
+// journalLine is one entry line of a DiskStore file: a result or an
+// artifact under its hex fingerprint. Exactly one of Result and
+// Artifact is set.
+type journalLine struct {
+	Key      string          `json:"key"`
+	Result   *StoredResult   `json:"result,omitempty"`
+	Artifact json.RawMessage `json:"artifact,omitempty"`
+}
+
+// DiskStore is the file-backed Store implementation: an append-only
+// journal of JSON lines mapping hex fingerprints to outcomes and
+// artifacts. It lets long multi-process workflows (cmd/figures
+// regenerating figure after figure) resume without re-simulating
+// configs — or re-deriving sweep winners — completed by earlier runs.
 //
-// All methods are safe for concurrent use. Mutations accumulate in
-// memory; Flush writes the file atomically (temp file + rename).
+// The file is a {"version":3} header line followed by one line per
+// recorded entry; on load the last line for a key wins. Flush appends
+// the entries recorded since the previous Flush, so its cost follows
+// the new work rather than the store size. It rewrites the whole file
+// atomically (temp file + rename) instead when the file is new, holds
+// another version, ends in a torn line (a crash mid-append), or when
+// superseded lines outnumber the live entries.
+//
+// All methods are safe for concurrent use.
 type DiskStore struct {
 	path string
 
 	mu        sync.Mutex
-	results   map[string]StoredResult
-	artifacts map[string]json.RawMessage
-	dirty     bool
+	results   map[sim.Key]StoredResult
+	artifacts map[sim.Key]json.RawMessage
+	// Keys recorded since the last Flush, per namespace.
+	newResults   map[sim.Key]struct{}
+	newArtifacts map[sim.Key]struct{}
+	// lines counts the entry lines in the file, superseded ones included.
+	lines int
+	// appendable reports that the file is a well-formed journal of this
+	// version, so new lines may be appended to it.
+	appendable bool
+	// repair forces the next Flush to rewrite a torn file even when
+	// nothing new was recorded.
+	repair bool
 }
 
 var _ Store = (*DiskStore)(nil)
 
 // OpenDiskStore loads the store at path, or creates an empty one if the
-// file does not exist yet. A file with a mismatched schema version is
-// treated as empty (it will be overwritten on Flush); a file that does
-// not parse at all is an error, so a corrupted store is surfaced rather
-// than silently discarded.
+// file does not exist yet. A file of another version (including the
+// single-line documents of versions 1 and 2) is treated as empty and
+// rewritten whole on the next Flush that has something to write. A torn
+// final line is dropped. Any other line that does not parse is an
+// error, so a corrupted store is surfaced rather than silently
+// discarded.
 func OpenDiskStore(path string) (*DiskStore, error) {
 	s := &DiskStore{
-		path:      path,
-		results:   make(map[string]StoredResult),
-		artifacts: make(map[string]json.RawMessage),
+		path:         path,
+		results:      make(map[sim.Key]StoredResult),
+		artifacts:    make(map[sim.Key]json.RawMessage),
+		newResults:   make(map[sim.Key]struct{}),
+		newArtifacts: make(map[sim.Key]struct{}),
 	}
 	data, err := os.ReadFile(path)
 	if os.IsNotExist(err) {
@@ -125,19 +161,104 @@ func OpenDiskStore(path string) (*DiskStore, error) {
 	if err != nil {
 		return nil, fmt.Errorf("runner: open store %s: %w", path, err)
 	}
-	var f diskFile
-	if err := json.Unmarshal(data, &f); err != nil {
+	if err := s.load(data); err != nil {
 		return nil, fmt.Errorf("runner: parse store %s: %w", path, err)
 	}
-	if f.Version == storeVersion {
-		if f.Results != nil {
-			s.results = f.Results
+	return s, nil
+}
+
+// load parses a journal. An empty file is an empty store awaiting its
+// first write.
+func (s *DiskStore) load(data []byte) error {
+	if len(data) == 0 {
+		return nil
+	}
+	head, body, _ := bytes.Cut(data, []byte{'\n'})
+	var h journalHeader
+	if err := json.Unmarshal(head, &h); err != nil {
+		return err
+	}
+	if h.Version != storeVersion {
+		return nil
+	}
+	lines := decodeLines(body)
+	torn := len(body) > 0 && body[len(body)-1] != '\n'
+	for i, l := range lines {
+		if l.err == nil {
+			continue
 		}
-		if f.Artifacts != nil {
-			s.artifacts = f.Artifacts
+		if i == len(lines)-1 && torn {
+			// A crash mid-append: drop the partial line, keep the rest.
+			lines = lines[:i]
+			break
+		}
+		return fmt.Errorf("line %d: %w", i+2, l.err)
+	}
+	for _, l := range lines {
+		if l.Result != nil {
+			s.results[l.key] = *l.Result
+		} else {
+			s.artifacts[l.key] = l.Artifact
 		}
 	}
-	return s, nil
+	s.lines = len(lines)
+	// Appending after a line that lacks its newline would corrupt it.
+	s.appendable = !torn
+	s.repair = torn
+	return nil
+}
+
+// decodedLine is one journal line after decoding: its entry and key, or
+// why it does not parse.
+type decodedLine struct {
+	journalLine
+	key sim.Key
+	err error
+}
+
+// decodeLines decodes every line of a journal body; an unterminated
+// final segment is a line too. Lines are independent, so the work splits
+// across GOMAXPROCS workers over contiguous ranges of an indexed slice,
+// which the caller merges in file order — last-write-wins stays
+// deterministic.
+func decodeLines(body []byte) []decodedLine {
+	var raw [][]byte
+	for len(body) > 0 {
+		var line []byte
+		line, body, _ = bytes.Cut(body, []byte{'\n'})
+		raw = append(raw, line)
+	}
+	out := make([]decodedLine, len(raw))
+	workers := min(runtime.GOMAXPROCS(0), (len(raw)+63)/64)
+	var wg sync.WaitGroup
+	for w := range workers {
+		lo, hi := w*len(raw)/workers, (w+1)*len(raw)/workers
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := lo; i < hi; i++ {
+				out[i].err = decodeLine(raw[i], &out[i].journalLine, &out[i].key)
+			}
+		}()
+	}
+	wg.Wait()
+	return out
+}
+
+func decodeLine(line []byte, e *journalLine, k *sim.Key) error {
+	if err := json.Unmarshal(line, e); err != nil {
+		return err
+	}
+	if (e.Result == nil) == (e.Artifact == nil) {
+		return fmt.Errorf("entry %q holds neither or both of a result and an artifact", e.Key)
+	}
+	if len(e.Key) != hex.EncodedLen(len(k)) {
+		return fmt.Errorf("malformed key %q", e.Key)
+	}
+	if _, err := hex.Decode(k[:], []byte(e.Key)); err != nil {
+		return fmt.Errorf("malformed key %q: %w", e.Key, err)
+	}
+	return nil
 }
 
 // Len returns the number of stored results.
@@ -161,7 +282,7 @@ func (s *DiskStore) Path() string { return s.path }
 func (s *DiskStore) Lookup(k sim.Key) (StoredResult, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	res, ok := s.results[k.String()]
+	res, ok := s.results[k]
 	return res, ok
 }
 
@@ -169,20 +290,20 @@ func (s *DiskStore) Lookup(k sim.Key) (StoredResult, bool) {
 func (s *DiskStore) Record(k sim.Key, v StoredResult) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.results[k.String()] = v
-	s.dirty = true
+	s.results[k] = v
+	s.newResults[k] = struct{}{}
 }
 
 // LookupArtifact implements Store.
 func (s *DiskStore) LookupArtifact(k sim.Key) ([]byte, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	data, ok := s.artifacts[k.String()]
+	data, ok := s.artifacts[k]
 	return data, ok
 }
 
-// RecordArtifact implements Store. Payloads embed verbatim in the JSON
-// document, so a payload that is not itself valid JSON is dropped here
+// RecordArtifact implements Store. Payloads embed verbatim in the
+// journal, so a payload that is not itself valid JSON is dropped here
 // (it stays a cache miss) rather than poisoning Flush for the whole
 // store.
 func (s *DiskStore) RecordArtifact(k sim.Key, data []byte) {
@@ -192,42 +313,118 @@ func (s *DiskStore) RecordArtifact(k sim.Key, data []byte) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	// Copy: json.RawMessage aliases the caller's buffer otherwise.
-	s.artifacts[k.String()] = append(json.RawMessage(nil), data...)
-	s.dirty = true
+	s.artifacts[k] = append(json.RawMessage(nil), data...)
+	s.newArtifacts[k] = struct{}{}
 }
 
-// Flush writes the store to disk if it changed since the last Flush.
+// Flush persists the entries recorded since the last Flush: appended to
+// the journal, or by a whole-file rewrite when the file is new, foreign,
+// torn, or more than half superseded lines. A store that was never
+// written and has nothing new leaves the disk untouched.
 func (s *DiskStore) Flush() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if !s.dirty {
+	fresh := len(s.newResults) + len(s.newArtifacts)
+	if fresh == 0 && !s.repair {
 		return nil
 	}
-	data, err := json.Marshal(diskFile{Version: storeVersion,
-		Results: s.results, Artifacts: s.artifacts})
+	live := len(s.results) + len(s.artifacts)
+	var err error
+	if s.appendable && s.lines+fresh-live <= live {
+		err = s.appendNew()
+	} else {
+		err = s.rewrite()
+	}
 	if err != nil {
-		return fmt.Errorf("runner: encode store: %w", err)
+		return fmt.Errorf("runner: flush store: %w", err)
+	}
+	clear(s.newResults)
+	clear(s.newArtifacts)
+	return nil
+}
+
+// appendNew appends the entries recorded since the last Flush, in key
+// order. A failed append may leave a partial line behind, so it marks
+// the file for a whole rewrite.
+func (s *DiskStore) appendNew() error {
+	var buf bytes.Buffer
+	if err := s.encode(&buf, sortedKeys(s.newResults), sortedKeys(s.newArtifacts)); err != nil {
+		return err
+	}
+	f, err := os.OpenFile(s.path, os.O_WRONLY|os.O_APPEND, 0)
+	if err == nil {
+		_, err = f.Write(buf.Bytes())
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+	}
+	if err != nil {
+		// The entries stay pending, so the next Flush rewrites.
+		s.appendable = false
+		return err
+	}
+	s.lines += len(s.newResults) + len(s.newArtifacts)
+	return nil
+}
+
+// rewrite replaces the file with a compact journal of the live entries,
+// atomically (temp file + rename).
+func (s *DiskStore) rewrite() error {
+	var buf bytes.Buffer
+	fmt.Fprintf(&buf, "{\"version\":%d}\n", storeVersion)
+	if err := s.encode(&buf, sortedKeys(s.results), sortedKeys(s.artifacts)); err != nil {
+		return err
 	}
 	dir := filepath.Dir(s.path)
 	tmp, err := os.CreateTemp(dir, filepath.Base(s.path)+".tmp*")
 	if err != nil {
-		return fmt.Errorf("runner: flush store: %w", err)
+		return err
 	}
-	_, werr := tmp.Write(data)
+	_, werr := tmp.Write(buf.Bytes())
 	cerr := tmp.Close()
 	if werr != nil || cerr != nil {
 		os.Remove(tmp.Name())
 		if werr == nil {
 			werr = cerr
 		}
-		return fmt.Errorf("runner: flush store: %w", werr)
+		return werr
 	}
 	if err := os.Rename(tmp.Name(), s.path); err != nil {
 		os.Remove(tmp.Name())
-		return fmt.Errorf("runner: flush store: %w", err)
+		return err
 	}
-	s.dirty = false
+	s.lines = len(s.results) + len(s.artifacts)
+	s.appendable, s.repair = true, false
 	return nil
+}
+
+// encode writes one journal line per listed result and artifact key.
+func (s *DiskStore) encode(buf *bytes.Buffer, results, artifacts []sim.Key) error {
+	enc := json.NewEncoder(buf)
+	enc.SetEscapeHTML(false)
+	for _, k := range results {
+		r := s.results[k]
+		if err := enc.Encode(journalLine{Key: k.String(), Result: &r}); err != nil {
+			return err
+		}
+	}
+	for _, k := range artifacts {
+		if err := enc.Encode(journalLine{Key: k.String(), Artifact: s.artifacts[k]}); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// sortedKeys lists a map's keys in byte order, so equal stores write
+// equal bytes.
+func sortedKeys[V any](m map[sim.Key]V) []sim.Key {
+	keys := make([]sim.Key, 0, len(m))
+	for k := range m { //simlint:ordered sorted below
+		keys = append(keys, k)
+	}
+	slices.SortFunc(keys, func(a, b sim.Key) int { return bytes.Compare(a[:], b[:]) })
+	return keys
 }
 
 // MemStore is an in-process Store: the smallest backend the interface

@@ -4,7 +4,6 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
-	"hash"
 	"math"
 
 	"resizecache/internal/geometry"
@@ -87,11 +86,12 @@ func (p PolicySpec) canonical() PolicySpec {
 	}
 }
 
-// Key returns the canonical fingerprint of the config.
+// Key returns the canonical fingerprint of the config: the encoding of
+// c.Canonical(), computed without materializing it — the policies,
+// in-order MSHRs and hierarchy are normalized as they are written — so
+// fingerprinting a config makes no heap allocation.
 func (c Config) Key() Key {
-	c = c.Canonical()
-	h := sha256.New()
-	w := keyWriter{h: h}
+	var w keyWriter
 	w.u64(keyVersion)
 	w.str(c.Benchmark)
 	w.u64(c.Instructions)
@@ -102,11 +102,12 @@ func (c Config) Key() Key {
 	w.i(c.CPU.LSQEntries)
 	w.u64(c.CPU.DecodeLatency)
 	w.u64(c.CPU.MispredictPenalty)
-	// L1s and the shared hierarchy (Canonical already folded L2Geom in).
+	// L1s and the shared hierarchy (Hierarchy folds a lone L2Geom in).
 	w.cacheSpec(c.DCache)
 	w.cacheSpec(c.ICache)
-	w.i(len(c.Levels))
-	for _, l := range c.Levels {
+	levels := c.Hierarchy()
+	w.i(len(levels))
+	for _, l := range levels {
 		w.cacheSpec(l.CacheSpec)
 		w.u64(uint64(l.Precharge))
 		w.i(l.MSHREntries)
@@ -115,8 +116,16 @@ func (c Config) Key() Key {
 	// All zeros for every valid config; non-zero only for the invalid
 	// Levels+L2Geom conflict, whose cold-path error must memoize under
 	// its own key (see Canonical).
-	w.geometry(c.L2Geom.SizeBytes, c.L2Geom.Assoc, c.L2Geom.BlockBytes, c.L2Geom.SubarrayBytes)
-	w.i(c.MSHREntries)
+	l2 := c.L2Geom
+	if len(c.Levels) == 0 {
+		l2 = geometry.Geometry{}
+	}
+	w.geometry(l2.SizeBytes, l2.Assoc, l2.BlockBytes, l2.SubarrayBytes)
+	mshrs := c.MSHREntries
+	if c.Engine == InOrder {
+		mshrs = 0
+	}
+	w.i(mshrs)
 	w.i(c.WritebackEntries)
 	// Sampled execution (all zero for fully detailed runs; a partial spec
 	// is invalid but keeps its own fingerprint so the cold-path error
@@ -147,9 +156,17 @@ func (c Config) Key() Key {
 	w.f64(c.Core.RASPJ)
 	w.f64(c.Core.ResultBusPJ)
 	w.f64(c.Core.ClockPJ)
-	var k Key
-	h.Sum(k[:0])
-	return k
+	return w.sum()
+}
+
+// Keys fingerprints each config once, in order: batch callers hash a
+// sweep up front and hand the keys to every layer that indexes it.
+func Keys(cfgs []Config) []Key {
+	keys := make([]Key, len(cfgs))
+	for i := range cfgs {
+		keys[i] = cfgs[i].Key()
+	}
+	return keys
 }
 
 // FrontKey fingerprints the config's shared simulation front-end: the
@@ -190,15 +207,13 @@ func (c Config) FrontKey() Key {
 // A builder is single-use: construct with NewKeyBuilder, append fields,
 // call Sum once.
 type KeyBuilder struct {
-	h hash.Hash
 	w keyWriter
 }
 
 // NewKeyBuilder starts a fingerprint in a named domain; distinct
 // domains never collide even over identical field sequences.
 func NewKeyBuilder(domain string) *KeyBuilder {
-	h := sha256.New()
-	b := &KeyBuilder{h: h, w: keyWriter{h: h}}
+	b := new(KeyBuilder)
 	b.w.u64(keyVersion)
 	b.w.str(domain)
 	return b
@@ -216,34 +231,57 @@ func (b *KeyBuilder) Str(s string) *KeyBuilder { b.w.str(s); return b }
 // RawKey appends another fingerprint (e.g. a Config.Key) as a field.
 func (b *KeyBuilder) RawKey(k Key) *KeyBuilder {
 	b.w.u64(uint64(len(k)))
-	b.h.Write(k[:])
+	copy(b.w.next(len(k)), k[:])
 	return b
 }
 
 // Sum finalizes the fingerprint.
-func (b *KeyBuilder) Sum() Key {
-	var k Key
-	b.h.Sum(k[:0])
-	return k
-}
+func (b *KeyBuilder) Sum() Key { return b.w.sum() }
 
-// keyWriter streams fixed-width, field-order-stable encodings into the
-// hash. Strings are length-prefixed so adjacent fields cannot alias.
+// keyBufSize is the inline capacity of a keyWriter: a config with a
+// three-level hierarchy and a short benchmark name encodes in under 900
+// bytes, so only builders over many fields (sweep artifacts over whole
+// grids) spill.
+const keyBufSize = 1024
+
+// keyWriter encodes fixed-width, field-order-stable fields into a byte
+// stream that sum hashes once. Strings are length-prefixed so adjacent
+// fields cannot alias. The stream lives in the writer's inline buffer
+// until it outgrows keyBufSize and moves to the heap.
 type keyWriter struct {
-	h hash.Hash
+	n     int
+	buf   [keyBufSize]byte
+	spill []byte
 }
 
-func (w keyWriter) u64(v uint64) {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], v)
-	w.h.Write(b[:])
+// next extends the stream by n bytes and returns them for the caller
+// to fill.
+func (w *keyWriter) next(n int) []byte {
+	if w.spill == nil && w.n+n <= len(w.buf) {
+		w.n += n
+		return w.buf[w.n-n : w.n]
+	}
+	if w.spill == nil {
+		w.spill = append(make([]byte, 0, 2*len(w.buf)), w.buf[:w.n]...)
+	}
+	w.spill = append(w.spill, make([]byte, n)...)
+	return w.spill[len(w.spill)-n:]
 }
 
-func (w keyWriter) i(v int) { w.u64(uint64(int64(v))) }
+func (w *keyWriter) sum() Key {
+	if w.spill != nil {
+		return sha256.Sum256(w.spill)
+	}
+	return sha256.Sum256(w.buf[:w.n])
+}
 
-func (w keyWriter) f64(v float64) { w.u64(math.Float64bits(v)) }
+func (w *keyWriter) u64(v uint64) { binary.LittleEndian.PutUint64(w.next(8), v) }
 
-func (w keyWriter) b(v bool) {
+func (w *keyWriter) i(v int) { w.u64(uint64(int64(v))) }
+
+func (w *keyWriter) f64(v float64) { w.u64(math.Float64bits(v)) }
+
+func (w *keyWriter) b(v bool) {
 	if v {
 		w.u64(1)
 	} else {
@@ -251,26 +289,28 @@ func (w keyWriter) b(v bool) {
 	}
 }
 
-func (w keyWriter) str(s string) {
+func (w *keyWriter) str(s string) {
 	w.u64(uint64(len(s)))
-	w.h.Write([]byte(s))
+	copy(w.next(len(s)), s)
 }
 
-// cacheSpec encodes one cache spec (an L1 or a shared level's core).
-func (w keyWriter) cacheSpec(s CacheSpec) {
+// cacheSpec encodes one cache spec (an L1 or a shared level's core)
+// with its policy in canonical form.
+func (w *keyWriter) cacheSpec(s CacheSpec) {
+	p := s.Policy.canonical()
 	w.geometry(s.Geom.SizeBytes, s.Geom.Assoc, s.Geom.BlockBytes, s.Geom.SubarrayBytes)
 	w.u64(uint64(s.Org))
-	w.u64(uint64(s.Policy.Kind))
-	w.i(s.Policy.StaticIndex)
-	w.u64(s.Policy.Interval)
-	w.u64(s.Policy.MissBound)
-	w.i(s.Policy.SizeBoundBytes)
-	w.i(s.Policy.UpsizeHoldIntervals)
+	w.u64(uint64(p.Kind))
+	w.i(p.StaticIndex)
+	w.u64(p.Interval)
+	w.u64(p.MissBound)
+	w.i(p.SizeBoundBytes)
+	w.i(p.UpsizeHoldIntervals)
 	w.b(s.AblationFullPrecharge)
 	w.b(s.AblationFreeFlush)
 }
 
-func (w keyWriter) geometry(size, assoc, block, subarray int) {
+func (w *keyWriter) geometry(size, assoc, block, subarray int) {
 	w.i(size)
 	w.i(assoc)
 	w.i(block)

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"crypto/sha256"
 	"testing"
 
 	"resizecache/internal/analysis/keycomplete"
@@ -173,7 +172,7 @@ func TestKeyVersionNeverAliasesRetired(t *testing.T) {
 	l2 := c.Hierarchy()[0].Geom
 
 	// Shared tails of the retired encodings.
-	writeFront := func(w keyWriter) {
+	writeFront := func(w *keyWriter) {
 		w.str(c.Benchmark)
 		w.u64(c.Instructions)
 		w.u64(uint64(c.Engine))
@@ -185,7 +184,7 @@ func TestKeyVersionNeverAliasesRetired(t *testing.T) {
 		w.cacheSpec(c.DCache)
 		w.cacheSpec(c.ICache)
 	}
-	writeEnergies := func(w keyWriter) {
+	writeEnergies := func(w *keyWriter) {
 		w.f64(c.Energy.PrechargePJPerBit)
 		w.f64(c.Energy.BitlinePJPerBit)
 		w.f64(c.Energy.WordlinePJPerBit)
@@ -209,21 +208,18 @@ func TestKeyVersionNeverAliasesRetired(t *testing.T) {
 		w.f64(c.Core.ClockPJ)
 	}
 
-	h1 := sha256.New()
-	w1 := keyWriter{h: h1}
+	var w1 keyWriter
 	w1.u64(1) // keyVersion 1
-	writeFront(w1)
+	writeFront(&w1)
 	w1.geometry(l2.SizeBytes, l2.Assoc, l2.BlockBytes, l2.SubarrayBytes) // v1: bare L2 geometry
 	w1.i(c.MSHREntries)
 	w1.i(c.WritebackEntries)
-	writeEnergies(w1)
-	var v1 Key
-	h1.Sum(v1[:0])
+	writeEnergies(&w1)
+	v1 := w1.sum()
 
-	h2 := sha256.New()
-	w2 := keyWriter{h: h2}
+	var w2 keyWriter
 	w2.u64(2) // keyVersion 2
-	writeFront(w2)
+	writeFront(&w2)
 	w2.i(len(c.Levels)) // v2: hierarchy as data, no sampling fields
 	for _, l := range c.Levels {
 		w2.cacheSpec(l.CacheSpec)
@@ -234,9 +230,8 @@ func TestKeyVersionNeverAliasesRetired(t *testing.T) {
 	w2.geometry(c.L2Geom.SizeBytes, c.L2Geom.Assoc, c.L2Geom.BlockBytes, c.L2Geom.SubarrayBytes)
 	w2.i(c.MSHREntries)
 	w2.i(c.WritebackEntries)
-	writeEnergies(w2)
-	var v2 Key
-	h2.Sum(v2[:0])
+	writeEnergies(&w2)
+	v2 := w2.sum()
 
 	cur := Default("gcc").Key()
 	if v1 == cur {
