@@ -1,9 +1,10 @@
 // Package determinism protects the repo's bit-identity contract: a
-// simulation must produce the same Result whether it runs solo, inside
-// a gang, or resumed from a persisted store — the golden-fixture oracle
-// and the gang-vs-solo tests all depend on it, and so does every
-// content-addressed memo hit. The analyzer forbids the three stdlib
-// constructs that silently break it inside the simulation packages:
+// simulation must produce the same Result whether it runs alone, inside
+// a larger gang, or resumed from a persisted store — the golden-fixture
+// oracle and the gang member-independence tests all depend on it, and
+// so does every content-addressed memo hit. The analyzer forbids the
+// three stdlib constructs that silently break it inside the simulation
+// packages:
 //
 //   - wall-clock reads (time.Now / time.Since / time.Until);
 //   - the global math/rand generators (any use of math/rand or

@@ -1,7 +1,7 @@
 // Package hotalloc turns PR 5's runtime allocation guards into static
 // proof: a function annotated `//simlint:hotpath` in its doc comment —
-// cache.Cache.Access, both engines' Run loops, the gang fan-out, the
-// workload generator's Next — must contain no allocating construct, and
+// cache.Cache.Access, both engines' gang fan-out loops, the
+// fast-forward loop, the workload generator's Next — must contain no allocating construct, and
 // neither may anything it statically calls, transitively across the
 // whole module. Where testing.AllocsPerRun samples one configuration at
 // runtime, hotalloc proves the property for every path at build time.

@@ -34,47 +34,36 @@ func allocMix() []workload.Event {
 	}
 }
 
-// TestOutOfOrderStepZeroAllocs locks in the per-instruction step's
-// allocation behaviour: a Run's allocations are a fixed setup cost
-// (rings, fetch unit, predictor tables) independent of how many
-// instructions execute — i.e. the per-instruction step allocates zero
-// bytes. Asserted by comparing total allocations of a short and a 16×
-// longer run.
-func TestOutOfOrderStepZeroAllocs(t *testing.T) {
-	run := func(n uint64) float64 {
-		src := &allocSource{evs: allocMix()}
-		ic := &fixedLevel{lat: 1}
-		dc := &fixedLevel{lat: 1}
-		return testing.AllocsPerRun(3, func() {
-			eng, err := NewOutOfOrder(DefaultConfig(), ic, dc, bpred.NewDefault())
-			if err != nil {
-				t.Fatal(err)
+// checkGangStepZeroAllocs fails if a gang's allocations grow with the
+// instruction count: a run's allocations must be a fixed setup cost
+// (lanes, rings, predictor tables) independent of how many instructions
+// execute — i.e. the per-instruction fan-out step allocates zero bytes.
+// Asserted for gangs of one and of eight by comparing total allocations
+// of a short and a 16× longer run.
+func checkGangStepZeroAllocs(t *testing.T, run func(Config, bpred.Predictor, []GangMember, workload.Source, uint64) ([]Result, error)) {
+	t.Helper()
+	for _, n := range []int{1, 8} {
+		allocs := func(instr uint64) float64 {
+			src := &allocSource{evs: allocMix()}
+			members := make([]GangMember, n)
+			for m := range members {
+				members[m] = GangMember{IC: &fixedLevel{lat: 1}, DC: &fixedLevel{lat: 1}}
 			}
-			eng.Run(src, n)
-		})
-	}
-	shortRun, longRun := run(2_000), run(32_000)
-	if longRun != shortRun {
-		t.Fatalf("out-of-order Run allocations grew with instruction count: %.1f for 2K instrs vs %.1f for 32K; the per-instruction step must not allocate", shortRun, longRun)
+			return testing.AllocsPerRun(3, func() {
+				if _, err := run(DefaultConfig(), bpred.NewDefault(), members, src, instr); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		shortRun, longRun := allocs(2_000), allocs(32_000)
+		if longRun != shortRun {
+			t.Errorf("%d-member gang allocations grew with instruction count: %.1f for 2K instrs vs %.1f for 32K; the per-instruction step must not allocate", n, shortRun, longRun)
+		}
 	}
 }
 
-// TestInOrderStepZeroAllocs is the same guard for the in-order engine.
-func TestInOrderStepZeroAllocs(t *testing.T) {
-	run := func(n uint64) float64 {
-		src := &allocSource{evs: allocMix()}
-		ic := &fixedLevel{lat: 1}
-		dc := &fixedLevel{lat: 1}
-		return testing.AllocsPerRun(3, func() {
-			eng, err := NewInOrder(DefaultConfig(), ic, dc, bpred.NewDefault())
-			if err != nil {
-				t.Fatal(err)
-			}
-			eng.Run(src, n)
-		})
-	}
-	shortRun, longRun := run(2_000), run(32_000)
-	if longRun != shortRun {
-		t.Fatalf("in-order Run allocations grew with instruction count: %.1f for 2K instrs vs %.1f for 32K; the per-instruction step must not allocate", shortRun, longRun)
-	}
-}
+// TestOutOfOrderStepZeroAllocs guards the out-of-order fan-out loop.
+func TestOutOfOrderStepZeroAllocs(t *testing.T) { checkGangStepZeroAllocs(t, RunGangOutOfOrder) }
+
+// TestInOrderStepZeroAllocs guards the in-order fan-out loop.
+func TestInOrderStepZeroAllocs(t *testing.T) { checkGangStepZeroAllocs(t, RunGangInOrder) }

@@ -15,14 +15,16 @@
 // dispatch, execute, and retire times are computed against finite
 // window/queue resources, which is exactly the latency-exposure structure
 // the paper's Section 4.2 argument depends on.
+//
+// Each model has exactly one implementation, and it is ganged: one pass
+// over the instruction stream drives N private memory systems in
+// lockstep (gang.go explains the functional/timing split that makes this
+// exact). A single simulation is a gang of one; NewOutOfOrder and
+// NewInOrder are that case's convenience constructors.
 package cpu
 
 import (
 	"fmt"
-
-	"resizecache/internal/bpred"
-	"resizecache/internal/cache"
-	"resizecache/internal/workload"
 )
 
 // Config sets the pipeline parameters (paper Table 2 defaults).
@@ -132,143 +134,4 @@ func (r Result) IPC() float64 {
 		return 0
 	}
 	return float64(r.Instructions) / float64(r.Cycles)
-}
-
-// Engine runs a workload against an L1 i-cache and d-cache pair.
-type Engine interface {
-	// Run executes up to maxInstr instructions (or until the source is
-	// exhausted) and returns the timing result.
-	Run(src workload.Source, maxInstr uint64) Result
-	// Name identifies the engine in reports.
-	Name() string
-}
-
-// fetchUnit models the shared front-end: width-limited group fetch
-// through the i-cache with misprediction redirects. Both engines use it,
-// which keeps their i-side behaviour identical by construction (the
-// paper's comparison isolates the d-side exposure difference).
-type fetchUnit struct {
-	ic        cache.Level
-	width     int
-	groupLeft int
-	fetchTime uint64
-	hitLat    uint64
-}
-
-//simlint:coldpath constructor, once per Run
-func newFetchUnit(ic cache.Level, width int) *fetchUnit {
-	return &fetchUnit{ic: ic, width: width, hitLat: 1}
-}
-
-// fetch returns the cycle at which the given instruction is available,
-// accessing the i-cache once per fetch group. act counts fetch groups.
-func (f *fetchUnit) fetch(pc uint64, act *Activity) uint64 {
-	if f.groupLeft == 0 {
-		f.groupLeft = f.width
-		f.fetchTime++
-		act.FetchGroups++
-		done := f.ic.Access(f.fetchTime, pc, false)
-		if done > f.fetchTime+f.hitLat {
-			// I-cache miss: fetch stalls for the full latency — i-misses
-			// are always on the critical path.
-			f.fetchTime = done
-		}
-	}
-	f.groupLeft--
-	return f.fetchTime
-}
-
-// redirect restarts fetch at the given cycle (mispredicted branch
-// resolved or taken-branch fetch break).
-func (f *fetchUnit) redirect(at uint64) {
-	if at > f.fetchTime {
-		f.fetchTime = at
-	}
-	f.groupLeft = 0
-}
-
-// controlUnit owns the front-end's control-flow predictors: the
-// direction predictor, the branch target buffer (a correctly-predicted
-// taken branch still bubbles if its target is absent from the BTB), and
-// the return-address stack for call/return pairs. Both engines share it
-// so the strategy comparisons differ only in the d-side latency exposure.
-type controlUnit struct {
-	bp  *bpred.Stats
-	btb *bpred.BTB
-	ras *bpred.RAS
-
-	btbMissPenalty uint64
-
-	pendingPC  uint64 // taken control transfer awaiting its target
-	hasPending bool
-}
-
-//simlint:coldpath constructor, once per engine
-func newControlUnit(bp *bpred.Stats) *controlUnit {
-	return &controlUnit{
-		bp:             bp,
-		btb:            bpred.NewBTB(9, 4), // 512-set 4-way
-		ras:            bpred.NewRAS(8),
-		btbMissPenalty: 2,
-	}
-}
-
-// observe must be called with every instruction's PC before it is
-// processed: it completes the deferred BTB update of the previous taken
-// transfer (whose target is this instruction).
-func (cu *controlUnit) observe(pc uint64) {
-	if cu.hasPending {
-		cu.btb.Update(cu.pendingPC, pc)
-		cu.hasPending = false
-	}
-}
-
-// lookupTarget models target prediction for a taken transfer at pc: a
-// BTB hit redirects fetch with no bubble; a miss costs btbMissPenalty
-// and schedules the entry's installation.
-func (cu *controlUnit) lookupTarget(pc uint64, fetch *fetchUnit, act *Activity) {
-	act.BTBLookups++
-	if _, hit := cu.btb.Lookup(pc); hit {
-		fetch.redirect(fetch.fetchTime)
-	} else {
-		fetch.redirect(fetch.fetchTime + cu.btbMissPenalty)
-		cu.pendingPC = pc
-		cu.hasPending = true
-	}
-}
-
-// branch resolves a conditional branch completing at the given cycle and
-// applies the front-end consequences. mispredictPenalty is the pipeline
-// refill cost after resolution.
-func (cu *controlUnit) branch(pc uint64, taken bool, complete uint64,
-	mispredictPenalty uint64, fetch *fetchUnit, act *Activity) {
-	act.Branches++
-	act.BpredLookups++
-	if !cu.bp.PredictAndTrain(pc, taken) {
-		act.Mispredicts++
-		fetch.redirect(complete + mispredictPenalty)
-		return
-	}
-	if taken {
-		cu.lookupTarget(pc, fetch, act)
-	}
-}
-
-// call pushes the return address and redirects through the BTB.
-func (cu *controlUnit) call(pc uint64, fetch *fetchUnit, act *Activity) {
-	act.RASOps++
-	cu.ras.Push(pc + 4)
-	cu.lookupTarget(pc, fetch, act)
-}
-
-// ret pops the predicted return address; an underflowed stack is a
-// target mispredict resolved at complete.
-func (cu *controlUnit) ret(complete, mispredictPenalty uint64, fetch *fetchUnit, act *Activity) {
-	act.RASOps++
-	if _, ok := cu.ras.Pop(); ok {
-		fetch.redirect(fetch.fetchTime)
-	} else {
-		act.Mispredicts++
-		fetch.redirect(complete + mispredictPenalty)
-	}
 }

@@ -7,10 +7,9 @@ import (
 )
 
 // Gang execution: one workload pass drives N cache configurations in
-// lockstep. The split that makes this possible is already present in
-// the solo engines — everything that steers the instruction stream is
-// *functional* (depends only on the event sequence), while cache
-// contents and cycle arithmetic are *timing*:
+// lockstep. It is exact because everything that steers the instruction
+// stream is *functional* (depends only on the event sequence), while
+// cache contents and cycle arithmetic are *timing*:
 //
 //   - the direction predictor, BTB, and RAS are trained with (PC, taken)
 //     pairs only, so their state evolution is identical for every cache
@@ -25,12 +24,13 @@ import (
 //
 // What differs per member is exactly the timing model: fetch timestamps,
 // completion/retire rings, and the cache hierarchies those timestamps
-// are computed against. RunGang* therefore evaluates the shared
+// are computed against. Each engine therefore evaluates the shared
 // functional front-end once per instruction and fans the event out to N
 // private timing models, turning N×(generate+front-end+timing) into
-// generate+front-end+N×timing. Results are bit-identical to running
-// each member through the corresponding solo engine (pinned by
-// TestGangMatchesSolo and the sim golden fixtures).
+// generate+front-end+N×timing. Members never observe one another:
+// member m of an N-gang is bit-identical to a gang of one over member
+// m's caches (TestGangMemberIndependence*), and the sim golden fixtures
+// pin the gang-of-one results themselves.
 
 // GangMember is one gang member's private memory system: the L1 caches
 // its timing model issues accesses to (each backed by its own private
@@ -59,39 +59,75 @@ const (
 	ctrlRedirectMispredict
 )
 
-// gangFront is the shared functional front-end of a gang: one control
-// unit (predictor, BTB, RAS) and the fetch-group cursor, evolving
-// exactly as each solo engine's would.
+// btbMissPenalty is the fetch bubble of a taken transfer whose target
+// is absent from the BTB.
+const btbMissPenalty = 2
+
+// gangFront is the shared functional front-end of a gang: the direction
+// predictor, the branch target buffer (a correctly predicted taken
+// transfer still bubbles if its target is absent from the BTB), the
+// return-address stack for call/return pairs, and the fetch-group
+// cursor. Every member sees the same front-end, so the strategy
+// comparisons differ only in the memory system's latency exposure.
 type gangFront struct {
-	cu        *controlUnit
+	bp  *bpred.Stats
+	btb *bpred.BTB
+	ras *bpred.RAS
+
+	pendingPC  uint64 // taken control transfer awaiting its target
+	hasPending bool
+
 	groupLeft int
 	width     int
 }
 
 //simlint:coldpath constructor, once per gang
-func newGangFront(bp *bpred.Stats, width int) *gangFront {
-	return &gangFront{cu: newControlUnit(bp), width: width}
+func newGangFront(bp bpred.Predictor, width int) gangFront {
+	return gangFront{
+		bp:    &bpred.Stats{P: bp},
+		btb:   bpred.NewBTB(9, 4), // 512-set 4-way
+		ras:   bpred.NewRAS(8),
+		width: width,
+	}
 }
 
-// step consumes one instruction's functional front-end work: the
-// deferred BTB update, the fetch-group boundary decision, and the
-// control-flow outcome. It returns whether this instruction opens a new
-// fetch group and the shared control action. act receives every
-// member-invariant counter of the instruction's control handling.
-func (f *gangFront) step(ev *workload.Event, act *Activity) (newGroup bool, action ctrlAction) {
-	f.cu.observe(ev.PC)
+// observe must see every instruction's PC before fetch: it completes
+// the deferred BTB install of the previous taken transfer, whose target
+// is this instruction. observe and fetch are split, and the install
+// kept out of line, so that both inline into the per-instruction loops.
+func (f *gangFront) observe(pc uint64) {
+	if f.hasPending {
+		f.installTarget(pc)
+	}
+}
+
+//go:noinline
+func (f *gangFront) installTarget(target uint64) {
+	f.btb.Update(f.pendingPC, target)
+	f.hasPending = false
+}
+
+// fetch advances the fetch-group cursor and reports whether the
+// instruction opens a new fetch group.
+func (f *gangFront) fetch(act *Activity) (newGroup bool) {
 	if f.groupLeft == 0 {
 		f.groupLeft = f.width
 		act.FetchGroups++
 		newGroup = true
 	}
 	f.groupLeft--
+	return newGroup
+}
 
+// control resolves a control transfer's functional outcome — the
+// predictor, BTB, and RAS work — and returns the shared control action.
+// act receives every member-invariant counter of the transfer.
+func (f *gangFront) control(ev *workload.Event, act *Activity) (action ctrlAction) {
 	switch ev.Kind {
 	case workload.KindBranch:
 		act.Branches++
 		act.BpredLookups++
-		if !f.cu.bp.PredictAndTrain(ev.PC, ev.Taken) {
+		if !f.bp.PredictAndTrain(ev.PC, ev.Taken) {
 			act.Mispredicts++
 			action = ctrlRedirectMispredict
 		} else if ev.Taken {
@@ -99,13 +135,14 @@ func (f *gangFront) step(ev *workload.Event, act *Activity) (newGroup bool, acti
 		}
 	case workload.KindCall:
 		act.RASOps++
-		f.cu.ras.Push(ev.PC + 4)
+		f.ras.Push(ev.PC + 4)
 		action = f.lookupTarget(ev.PC, act)
 	case workload.KindReturn:
 		act.RASOps++
-		if _, ok := f.cu.ras.Pop(); ok {
+		if _, ok := f.ras.Pop(); ok {
 			action = ctrlRedirect
 		} else {
+			// An underflowed stack is a target mispredict.
 			act.Mispredicts++
 			action = ctrlRedirectMispredict
 		}
@@ -115,388 +152,61 @@ func (f *gangFront) step(ev *workload.Event, act *Activity) (newGroup bool, acti
 		// members apply the cycle consequence themselves.
 		f.groupLeft = 0
 	}
-	return newGroup, action
+	return action
 }
 
-// lookupTarget is controlUnit.lookupTarget's functional half.
+// lookupTarget models target prediction for a taken transfer at pc: a
+// BTB hit redirects fetch with no bubble; a miss costs btbMissPenalty
+// and schedules the entry's installation.
 func (f *gangFront) lookupTarget(pc uint64, act *Activity) ctrlAction {
 	act.BTBLookups++
-	if _, hit := f.cu.btb.Lookup(pc); hit {
+	if _, hit := f.btb.Lookup(pc); hit {
 		return ctrlRedirect
 	}
-	f.cu.pendingPC = pc
-	f.cu.hasPending = true
+	f.pendingPC = pc
+	f.hasPending = true
 	return ctrlRedirectBTBMiss
 }
 
-// results assembles the per-member Results: the shared functional
-// outcome (instructions, activity, branch accuracy) plus each member's
-// private cycle count.
-//
-//simlint:coldpath epilogue, once per gang
-func gangResults(instr uint64, act Activity, accuracy float64, cycles []uint64) []Result {
-	out := make([]Result, len(cycles))
-	for m := range out {
-		out[m] = Result{
-			Instructions:   instr,
-			Cycles:         cycles[m],
-			Activity:       act,
-			BranchAccuracy: accuracy,
-		}
-	}
-	return out
+// inWindow reports whether an operand's producer, dep instructions back
+// (non-positive: no producer), is tracked by a dependence window of
+// depth lim — the caller's min(instructions so far, window depth). A
+// non-positive dep wraps to a huge value, so this is one unsigned
+// compare instead of three data-dependent branches.
+func inWindow(dep int32, lim uint64) bool { return uint64(int64(dep))-1 < lim }
+
+// gang is what both timing models share: the pipeline parameters, the
+// functional front-end, the members' memory systems, and the result
+// slice each window fills. It carries the fast-forward and warm-state
+// methods (sample.go).
+type gang struct {
+	cfg     Config
+	front   gangFront
+	members []GangMember
+	res     []Result
 }
 
-// RunGangOutOfOrder drives every member's private out-of-order timing
-// model with one shared workload pass. Member m's Result is
-// bit-identical to NewOutOfOrder(cfg, members[m].IC, members[m].DC,
-// bp').Run(src', maxInstr) with a fresh predictor and source.
-func RunGangOutOfOrder(cfg Config, bp bpred.Predictor, members []GangMember, src workload.Source, maxInstr uint64) ([]Result, error) {
-	g, err := NewGangOutOfOrder(cfg, bp, members)
-	if err != nil {
-		return nil, err
+//simlint:coldpath constructor, once per gang
+func newGang(cfg Config, bp bpred.Predictor, members []GangMember) (gang, error) {
+	if err := cfg.Validate(); err != nil {
+		return gang{}, err
 	}
-	return g.RunWindow(src, maxInstr, nil), nil
+	return gang{
+		cfg:     cfg,
+		front:   newGangFront(bp, cfg.Width),
+		members: members,
+		res:     make([]Result, len(members)),
+	}, nil
 }
 
-// RunWindow executes up to maxInstr instructions with member m's
-// pipeline clocks starting at absolute cycle base[m] (a nil base means
-// cycle zero for every member); result[m].Cycles is member m's absolute
-// end cycle. The shared front-end persists across windows; pipeline
-// rings start empty each window, mirroring the solo engines' RunWindow.
-//
-//simlint:hotpath the gang fan-out inner loop; prologue allocations are once per window
-func (g *GangOutOfOrder) RunWindow(src workload.Source, maxInstr uint64, base []uint64) []Result {
-	cfg := g.cfg
-	front := g.front
-	members := g.members
-	front.groupLeft = 0
-	n := len(members)
-	var (
-		act   Activity
-		instr uint64
-		ev    workload.Event
-
-		robN      = cfg.ROBEntries
-		lsqN      = cfg.LSQEntries
-		decodeLat = cfg.DecodeLatency
-		width     = cfg.Width
-
-		// Shared functional ring cursors (identical across members).
-		robIdx     int
-		lsqIdx     int
-		memopCount uint64
-
-		// Per-member timing state, struct-of-arrays: member m's ROB ring
-		// is rob[m*robN : (m+1)*robN], and the scalar clocks live in
-		// parallel slices so the member loop walks contiguous memory.
-		rob           = make([]uint64, n*robN) //simlint:allow once-per-run prologue/epilogue, outside the per-instruction loop
-		retire        = make([]uint64, n*robN) //simlint:allow once-per-run prologue/epilogue, outside the per-instruction loop
-		lsqRetire     = make([]uint64, n*lsqN) //simlint:allow once-per-run prologue/epilogue, outside the per-instruction loop
-		fetchTime     = make([]uint64, n)      //simlint:allow once-per-run prologue/epilogue, outside the per-instruction loop
-		lastRetire    = make([]uint64, n)      //simlint:allow once-per-run prologue/epilogue, outside the per-instruction loop
-		retireInCycle = make([]int, n)         //simlint:allow once-per-run prologue/epilogue, outside the per-instruction loop
-	)
-	if base != nil {
-		copy(fetchTime, base)
-		copy(lastRetire, base)
+// results fills every member's Result with the window's shared
+// functional outcome (instructions, activity, branch accuracy); the
+// caller sets each member's private cycle count. The slice is reused by
+// the next window.
+func (g *gang) results(instr uint64, act Activity) []Result {
+	acc := g.front.bp.Accuracy()
+	for m := range g.res {
+		g.res[m] = Result{Instructions: instr, Activity: act, BranchAccuracy: acc}
 	}
-
-	for instr < maxInstr && src.Next(&ev) {
-		i := instr
-		instr++
-
-		newGroup, action := front.step(&ev, &act)
-
-		// Shared functional decisions of the issue path: which operands
-		// are in the dependence window, and whether the LSQ ring clamps.
-		act.ROBInserts++
-		dep1 := ev.Dep1 > 0 && uint64(ev.Dep1) <= i && ev.Dep1 <= int32(robN)
-		dep2 := ev.Dep2 > 0 && uint64(ev.Dep2) <= i && ev.Dep2 <= int32(robN)
-		if dep1 {
-			act.RegReads++
-		}
-		if dep2 {
-			act.RegReads++
-		}
-		isStore := ev.Kind == workload.KindStore
-		isMem := isStore || ev.Kind == workload.KindLoad
-		lsqClamp := isMem && memopCount >= uint64(lsqN)
-		// execLat is the non-memory execution latency (control transfers
-		// resolve in one cycle; loads/stores go through the d-cache).
-		var execLat uint64
-		switch ev.Kind {
-		case workload.KindLoad:
-			act.LSQInserts++
-			act.Loads++
-			act.RegWrites++
-		case workload.KindStore:
-			act.LSQInserts++
-			act.Stores++
-		case workload.KindBranch:
-			execLat = uint64(ev.Lat)
-		case workload.KindCall, workload.KindReturn:
-			execLat = 1
-		case workload.KindFloat:
-			act.FloatOps++
-			act.RegWrites++
-			execLat = uint64(ev.Lat)
-		default:
-			act.IntOps++
-			act.RegWrites++
-			execLat = uint64(ev.Lat)
-		}
-
-		for m := 0; m < n; m++ {
-			ft := fetchTime[m]
-			if newGroup {
-				ft++
-				if done := members[m].IC.Access(ft, ev.PC, false); done > ft+1 {
-					ft = done
-				}
-			}
-
-			dispatch := ft + decodeLat
-			mrob := rob[m*robN : (m+1)*robN]
-			mretire := retire[m*robN : (m+1)*robN]
-			if i >= uint64(robN) {
-				if t := mretire[robIdx]; t > dispatch {
-					dispatch = t
-				}
-			}
-
-			ready := dispatch
-			if dep1 {
-				j := robIdx - int(ev.Dep1)
-				if j < 0 {
-					j += robN
-				}
-				if t := mrob[j]; t > ready {
-					ready = t
-				}
-			}
-			if dep2 {
-				j := robIdx - int(ev.Dep2)
-				if j < 0 {
-					j += robN
-				}
-				if t := mrob[j]; t > ready {
-					ready = t
-				}
-			}
-
-			var complete uint64
-			if isMem {
-				if lsqClamp {
-					if t := lsqRetire[m*lsqN+lsqIdx]; t > ready {
-						ready = t
-					}
-				}
-				done := members[m].DC.Access(ready, ev.Addr, isStore)
-				if isStore {
-					complete = ready + 1
-				} else {
-					complete = done
-				}
-			} else {
-				complete = ready + execLat
-			}
-
-			switch action {
-			case ctrlRedirectBTBMiss:
-				// fetchTime + penalty > fetchTime always.
-				ft += front.cu.btbMissPenalty
-			case ctrlRedirectMispredict:
-				if at := complete + cfg.MispredictPenalty; at > ft {
-					ft = at
-				}
-			}
-			fetchTime[m] = ft
-
-			mrob[robIdx] = complete
-
-			rt := complete
-			if rt < lastRetire[m] {
-				rt = lastRetire[m]
-			}
-			if rt == lastRetire[m] {
-				retireInCycle[m]++
-				if retireInCycle[m] >= width {
-					rt++
-					retireInCycle[m] = 0
-				}
-			} else {
-				retireInCycle[m] = 1
-			}
-			lastRetire[m] = rt
-			mretire[robIdx] = rt
-			if isMem {
-				lsqRetire[m*lsqN+lsqIdx] = rt
-			}
-		}
-
-		if robIdx++; robIdx == robN {
-			robIdx = 0
-		}
-		if isMem {
-			memopCount++
-			if lsqIdx++; lsqIdx == lsqN {
-				lsqIdx = 0
-			}
-		}
-	}
-
-	cycles := make([]uint64, n) //simlint:allow once-per-run prologue/epilogue, outside the per-instruction loop
-	for m := range cycles {
-		cycles[m] = lastRetire[m] + 1
-	}
-	return gangResults(instr, act, g.st.Accuracy(), cycles)
-}
-
-// RunGangInOrder is RunGangOutOfOrder for the in-order/blocking-d-cache
-// timing model.
-func RunGangInOrder(cfg Config, bp bpred.Predictor, members []GangMember, src workload.Source, maxInstr uint64) ([]Result, error) {
-	g, err := NewGangInOrder(cfg, bp, members)
-	if err != nil {
-		return nil, err
-	}
-	return g.RunWindow(src, maxInstr, nil), nil
-}
-
-// RunWindow executes up to maxInstr instructions with member m's clocks
-// starting at base[m]; see GangOutOfOrder.RunWindow for the contract.
-//
-//simlint:hotpath the gang fan-out inner loop; prologue allocations are once per window
-func (g *GangInOrder) RunWindow(src workload.Source, maxInstr uint64, base []uint64) []Result {
-	cfg := g.cfg
-	front := g.front
-	members := g.members
-	front.groupLeft = 0
-	n := len(members)
-	var (
-		act   Activity
-		instr uint64
-		ev    workload.Event
-
-		// Per-member timing state: member m's dependence scoreboard is
-		// completed[m*window : (m+1)*window].
-		completed    = make([]uint64, n*window) //simlint:allow once-per-run prologue/epilogue, outside the per-instruction loop
-		fetchTime    = make([]uint64, n)        //simlint:allow once-per-run prologue/epilogue, outside the per-instruction loop
-		issueTime    = make([]uint64, n)        //simlint:allow once-per-run prologue/epilogue, outside the per-instruction loop
-		issueInCycle = make([]int, n)           //simlint:allow once-per-run prologue/epilogue, outside the per-instruction loop
-		maxComplete  = make([]uint64, n)        //simlint:allow once-per-run prologue/epilogue, outside the per-instruction loop
-	)
-	if base != nil {
-		copy(fetchTime, base)
-		copy(issueTime, base)
-		copy(maxComplete, base)
-	}
-
-	for instr < maxInstr && src.Next(&ev) {
-		i := instr
-		instr++
-
-		newGroup, action := front.step(&ev, &act)
-
-		dep1 := ev.Dep1 > 0 && uint64(ev.Dep1) <= i && int(ev.Dep1) <= window
-		dep2 := ev.Dep2 > 0 && uint64(ev.Dep2) <= i && int(ev.Dep2) <= window
-		if dep1 {
-			act.RegReads++
-		}
-		if dep2 {
-			act.RegReads++
-		}
-		isStore := ev.Kind == workload.KindStore
-		isMem := isStore || ev.Kind == workload.KindLoad
-		var execLat uint64
-		switch ev.Kind {
-		case workload.KindLoad:
-			act.Loads++
-			act.RegWrites++
-		case workload.KindStore:
-			act.Stores++
-		case workload.KindBranch:
-			execLat = uint64(ev.Lat)
-		case workload.KindCall, workload.KindReturn:
-			execLat = 1
-		case workload.KindFloat:
-			act.FloatOps++
-			act.RegWrites++
-			execLat = uint64(ev.Lat)
-		default:
-			act.IntOps++
-			act.RegWrites++
-			execLat = uint64(ev.Lat)
-		}
-
-		for m := 0; m < n; m++ {
-			ft := fetchTime[m]
-			if newGroup {
-				ft++
-				if done := members[m].IC.Access(ft, ev.PC, false); done > ft+1 {
-					ft = done
-				}
-			}
-
-			issue := ft + cfg.DecodeLatency
-			if issue < issueTime[m] {
-				issue = issueTime[m]
-			}
-			if issue == issueTime[m] {
-				issueInCycle[m]++
-				if issueInCycle[m] >= cfg.Width {
-					issue++
-					issueInCycle[m] = 0
-				}
-			} else {
-				issueInCycle[m] = 1
-			}
-
-			sb := completed[m*window : (m+1)*window]
-			if dep1 {
-				if t := sb[(i-uint64(ev.Dep1))%uint64(window)]; t > issue {
-					issue = t
-				}
-			}
-			if dep2 {
-				if t := sb[(i-uint64(ev.Dep2))%uint64(window)]; t > issue {
-					issue = t
-				}
-			}
-
-			var complete uint64
-			if isMem {
-				complete = members[m].DC.Access(issue, ev.Addr, isStore)
-				// Blocking d-cache: nothing issues until the access
-				// completes.
-				if complete > issue+1 {
-					issue = complete - 1
-				}
-			} else {
-				complete = issue + execLat
-			}
-
-			switch action {
-			case ctrlRedirectBTBMiss:
-				ft += front.cu.btbMissPenalty
-			case ctrlRedirectMispredict:
-				if at := complete + cfg.MispredictPenalty; at > ft {
-					ft = at
-				}
-			}
-			fetchTime[m] = ft
-
-			sb[i%uint64(window)] = complete
-			issueTime[m] = issue
-			if complete > maxComplete[m] {
-				maxComplete[m] = complete
-			}
-		}
-	}
-
-	cycles := make([]uint64, n) //simlint:allow once-per-run prologue/epilogue, outside the per-instruction loop
-	for m := range cycles {
-		cycles[m] = maxComplete[m] + 1
-	}
-	return gangResults(instr, act, g.st.Accuracy(), cycles)
+	return g.res
 }

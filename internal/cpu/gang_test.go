@@ -18,8 +18,8 @@ type gangVariant struct {
 }
 
 // buildMember constructs an i/d L1 pair over a private L2+memory. Each
-// call builds an independent hierarchy, so solo and gang runs see
-// identical fresh cache state.
+// call builds an independent hierarchy, so every run sees identical
+// fresh cache state.
 func buildMember(t *testing.T, v gangVariant) (cache.Level, cache.Level) {
 	t.Helper()
 	mem := cache.NewMemory(64)
@@ -58,73 +58,52 @@ func gangVariants(mshr int) []gangVariant {
 	}
 }
 
-// TestGangMatchesSoloOutOfOrder: every gang member's Result is
-// bit-identical to a solo OutOfOrder run over the same config.
-func TestGangMatchesSoloOutOfOrder(t *testing.T) {
-	const instr = 30000
-	cfg := DefaultConfig()
-	variants := gangVariants(8)
-
-	solo := make([]Result, len(variants))
-	for m, v := range variants {
-		ic, dc := buildMember(t, v)
-		eng, err := NewOutOfOrder(cfg, ic, dc, bpred.NewDefault())
-		if err != nil {
-			t.Fatal(err)
-		}
-		solo[m] = eng.Run(workload.NewGenerator(workload.MustGet("gcc")), instr)
-	}
-
+// runMembers builds fresh members for variants and runs them through
+// one gang pass of the given engine over gcc.
+func runMembers(t *testing.T, inOrder bool, variants []gangVariant, instr uint64) []Result {
+	t.Helper()
 	members := make([]GangMember, len(variants))
 	for m, v := range variants {
 		ic, dc := buildMember(t, v)
 		members[m] = GangMember{IC: ic, DC: dc}
 	}
-	got, err := RunGangOutOfOrder(cfg, bpred.NewDefault(), members,
+	run := RunGangOutOfOrder
+	if inOrder {
+		run = RunGangInOrder
+	}
+	res, err := run(DefaultConfig(), bpred.NewDefault(), members,
 		workload.NewGenerator(workload.MustGet("gcc")), instr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for m := range variants {
-		if got[m] != solo[m] {
-			t.Errorf("member %d: gang %+v\nsolo %+v", m, got[m], solo[m])
-		}
-	}
+	return res
 }
 
-// TestGangMatchesSoloInOrder: same equivalence for the in-order engine
-// with a blocking d-cache.
-func TestGangMatchesSoloInOrder(t *testing.T) {
+// checkMemberIndependence: member m of an N-gang must be bit-identical
+// to a gang of one over member m's caches — members share the
+// functional front-end but never observe one another's timing.
+func checkMemberIndependence(t *testing.T, inOrder bool, mshr int) {
 	const instr = 30000
-	cfg := DefaultConfig()
-	variants := gangVariants(0)
-
-	solo := make([]Result, len(variants))
+	variants := gangVariants(mshr)
+	gang := runMembers(t, inOrder, variants, instr)
 	for m, v := range variants {
-		ic, dc := buildMember(t, v)
-		eng, err := NewInOrder(cfg, ic, dc, bpred.NewDefault())
-		if err != nil {
-			t.Fatal(err)
+		one := runMembers(t, inOrder, []gangVariant{v}, instr)
+		if gang[m] != one[0] {
+			t.Errorf("member %d: in %d-gang %+v\nalone %+v", m, len(variants), gang[m], one[0])
 		}
-		solo[m] = eng.Run(workload.NewGenerator(workload.MustGet("vpr")), instr)
 	}
-
-	members := make([]GangMember, len(variants))
-	for m, v := range variants {
-		ic, dc := buildMember(t, v)
-		members[m] = GangMember{IC: ic, DC: dc}
-	}
-	got, err := RunGangInOrder(cfg, bpred.NewDefault(), members,
-		workload.NewGenerator(workload.MustGet("vpr")), instr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for m := range variants {
-		if got[m] != solo[m] {
-			t.Errorf("member %d: gang %+v\nsolo %+v", m, got[m], solo[m])
-		}
+	if gang[0].Cycles == gang[len(gang)-1].Cycles {
+		t.Errorf("8K and 64K d-caches took the same %d cycles: members are not private", gang[0].Cycles)
 	}
 }
+
+// TestGangMemberIndependenceOutOfOrder pins member independence for the
+// out-of-order engine with non-blocking d-caches.
+func TestGangMemberIndependenceOutOfOrder(t *testing.T) { checkMemberIndependence(t, false, 8) }
+
+// TestGangMemberIndependenceInOrder pins it for the in-order engine with
+// blocking d-caches.
+func TestGangMemberIndependenceInOrder(t *testing.T) { checkMemberIndependence(t, true, 0) }
 
 // TestGangRejectsInvalidConfig: validation errors surface rather than
 // running a desynchronized gang.

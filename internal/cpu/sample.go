@@ -2,7 +2,6 @@ package cpu
 
 import (
 	"resizecache/internal/bpred"
-	"resizecache/internal/cache"
 	"resizecache/internal/workload"
 )
 
@@ -26,7 +25,7 @@ import (
 // payload; changing what they capture requires a checkpoint format
 // version bump (internal/sim, CONTRIBUTING.md).
 
-// FrontEndState is the serializable warm state of an engine's shared
+// FrontEndState is the serializable warm state of a gang's shared
 // front-end: the direction predictor (with accuracy counters), the BTB,
 // the return-address stack, and the deferred BTB-install latch.
 type FrontEndState struct {
@@ -38,159 +37,81 @@ type FrontEndState struct {
 	HasPending bool                 `json:"hasPending"`
 }
 
-func (cu *controlUnit) snapshot() (FrontEndState, error) {
-	ps, err := bpred.SnapshotPredictor(cu.bp.P)
+// SnapshotFrontEnd captures the shared front-end's warm state.
+func (g *gang) SnapshotFrontEnd() (FrontEndState, error) {
+	f := &g.front
+	ps, err := bpred.SnapshotPredictor(f.bp.P)
 	if err != nil {
 		return FrontEndState{}, err
 	}
 	return FrontEndState{
 		Predictor:  ps,
-		Stats:      cu.bp.Snapshot(),
-		BTB:        cu.btb.Snapshot(),
-		RAS:        cu.ras.Snapshot(),
-		PendingPC:  cu.pendingPC,
-		HasPending: cu.hasPending,
+		Stats:      f.bp.Snapshot(),
+		BTB:        f.btb.Snapshot(),
+		RAS:        f.ras.Snapshot(),
+		PendingPC:  f.pendingPC,
+		HasPending: f.hasPending,
 	}, nil
 }
 
-func (cu *controlUnit) restore(s FrontEndState) error {
-	if err := bpred.RestorePredictor(cu.bp.P, s.Predictor); err != nil {
+// RestoreFrontEnd loads a front-end snapshot taken from a gang with the
+// same predictor configuration.
+func (g *gang) RestoreFrontEnd(s FrontEndState) error {
+	f := &g.front
+	if err := bpred.RestorePredictor(f.bp.P, s.Predictor); err != nil {
 		return err
 	}
-	if err := cu.btb.Restore(s.BTB); err != nil {
+	if err := f.btb.Restore(s.BTB); err != nil {
 		return err
 	}
-	if err := cu.ras.Restore(s.RAS); err != nil {
+	if err := f.ras.Restore(s.RAS); err != nil {
 		return err
 	}
-	cu.bp.Restore(s.Stats)
-	cu.pendingPC = s.PendingPC
-	cu.hasPending = s.HasPending
+	f.bp.Restore(s.Stats)
+	f.pendingPC = s.PendingPC
+	f.hasPending = s.HasPending
 	return nil
 }
 
-// ffAdvance drives up to maxInstr instructions through the functional
-// front-end only, optionally warming the i-/d-caches, and returns how
-// many instructions were consumed. It reuses gangFront.step so the
-// functional state evolves exactly as it does under detailed (solo or
-// gang) execution — the property the checkpoint bit-identity tests pin.
-//
-//simlint:hotpath per-instruction fast-forward loop; scratch state is stack-allocated
-func ffAdvance(cu *controlUnit, width int, ic, dc cache.Level, src workload.Source, maxInstr uint64, warmCaches bool) uint64 {
-	var (
-		n       uint64
-		ev      workload.Event
-		scratch Activity
-		front   = gangFront{cu: cu, width: width}
-	)
-	for n < maxInstr && src.Next(&ev) {
-		n++
-		newGroup, _ := front.step(&ev, &scratch)
-		if !warmCaches {
-			continue
-		}
-		if newGroup {
-			ic.Warm(ev.PC, false)
-		}
-		if ev.Kind == workload.KindLoad {
-			dc.Warm(ev.Addr, false)
-		} else if ev.Kind == workload.KindStore {
-			dc.Warm(ev.Addr, true)
-		}
-	}
-	return n
-}
-
-// FastForward advances the engine functionally by up to maxInstr
-// instructions: predictors train, caches warm, no cycles elapse.
-func (o *OutOfOrder) FastForward(src workload.Source, maxInstr uint64) uint64 {
-	return ffAdvance(o.cu, o.Cfg.Width, o.IC, o.DC, src, maxInstr, true)
-}
-
-// WarmupFrontEnd advances only the front-end (predictors, BTB, RAS,
-// fetch-group cursor) — not the caches — so the resulting state is
-// shareable across every configuration with the same front-end.
-func (o *OutOfOrder) WarmupFrontEnd(src workload.Source, maxInstr uint64) uint64 {
-	return ffAdvance(o.cu, o.Cfg.Width, o.IC, o.DC, src, maxInstr, false)
-}
-
-// SnapshotFrontEnd captures the engine's front-end warm state.
-func (o *OutOfOrder) SnapshotFrontEnd() (FrontEndState, error) { return o.cu.snapshot() }
-
-// RestoreFrontEnd loads a front-end snapshot taken from an engine with
-// the same predictor configuration.
-func (o *OutOfOrder) RestoreFrontEnd(s FrontEndState) error { return o.cu.restore(s) }
-
-// FastForward advances the engine functionally; see OutOfOrder.FastForward.
-func (e *InOrder) FastForward(src workload.Source, maxInstr uint64) uint64 {
-	return ffAdvance(e.cu, e.Cfg.Width, e.IC, e.DC, src, maxInstr, true)
-}
-
-// WarmupFrontEnd advances only the front-end; see OutOfOrder.WarmupFrontEnd.
-func (e *InOrder) WarmupFrontEnd(src workload.Source, maxInstr uint64) uint64 {
-	return ffAdvance(e.cu, e.Cfg.Width, e.IC, e.DC, src, maxInstr, false)
-}
-
-// SnapshotFrontEnd captures the engine's front-end warm state.
-func (e *InOrder) SnapshotFrontEnd() (FrontEndState, error) { return e.cu.snapshot() }
-
-// RestoreFrontEnd loads a front-end snapshot.
-func (e *InOrder) RestoreFrontEnd(s FrontEndState) error { return e.cu.restore(s) }
-
-// GangOutOfOrder is the persistent form of RunGangOutOfOrder: the shared
-// functional front-end survives across calls, so detailed windows and
-// fast-forward windows can alternate over one workload stream. Pipeline
-// timing state (ROB/LSQ rings, clocks) is per-window, exactly as in the
-// solo engines' RunWindow.
-type GangOutOfOrder struct {
-	cfg     Config
-	st      *bpred.Stats
-	front   *gangFront
-	members []GangMember
-}
-
-// NewGangOutOfOrder builds a window-capable out-of-order gang.
-func NewGangOutOfOrder(cfg Config, bp bpred.Predictor, members []GangMember) (*GangOutOfOrder, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	st := &bpred.Stats{P: bp}
-	return &GangOutOfOrder{cfg: cfg, st: st, front: newGangFront(st, cfg.Width), members: members}, nil
-}
-
 // FastForward advances the shared front-end and warms every member's
-// caches by up to maxInstr instructions; no cycles elapse.
-//
-//simlint:hotpath per-instruction gang fast-forward loop
-func (g *GangOutOfOrder) FastForward(src workload.Source, maxInstr uint64) uint64 {
-	return gangFFAdvance(g.front, g.members, src, maxInstr, true)
+// caches by up to maxInstr instructions: predictors train, caches warm,
+// no cycles elapse. Returns the instructions consumed.
+func (g *gang) FastForward(src workload.Source, maxInstr uint64) uint64 {
+	return g.advance(src, maxInstr, true)
 }
 
-// WarmupFrontEnd advances only the shared front-end (no cache warming).
-func (g *GangOutOfOrder) WarmupFrontEnd(src workload.Source, maxInstr uint64) uint64 {
-	return gangFFAdvance(g.front, g.members, src, maxInstr, false)
+// WarmupFrontEnd advances only the shared front-end (predictors, BTB,
+// RAS, fetch-group cursor) — not the caches — so the resulting state is
+// shareable across every configuration with the same front-end.
+func (g *gang) WarmupFrontEnd(src workload.Source, maxInstr uint64) uint64 {
+	return g.advance(src, maxInstr, false)
 }
 
-// SnapshotFrontEnd captures the shared front-end warm state.
-func (g *GangOutOfOrder) SnapshotFrontEnd() (FrontEndState, error) { return g.front.cu.snapshot() }
-
-// RestoreFrontEnd loads a front-end snapshot.
-func (g *GangOutOfOrder) RestoreFrontEnd(s FrontEndState) error { return g.front.cu.restore(s) }
-
-// gangFFAdvance is ffAdvance for a gang: one shared functional pass,
-// fanning cache warming out to every member.
+// advance drives up to maxInstr instructions through the functional
+// front-end only, optionally fanning cache warming out to every member,
+// and returns how many instructions were consumed. It reuses the
+// gangFront methods, so the functional state evolves exactly as it does
+// under detailed execution — the property the checkpoint bit-identity
+// tests pin.
 //
 //simlint:hotpath per-instruction gang fast-forward loop; scratch state is stack-allocated
-func gangFFAdvance(front *gangFront, members []GangMember, src workload.Source, maxInstr uint64, warmCaches bool) uint64 {
+func (g *gang) advance(src workload.Source, maxInstr uint64, warmCaches bool) uint64 {
 	var (
 		n       uint64
 		ev      workload.Event
 		scratch Activity
 	)
+	front := &g.front
+	members := g.members
 	front.groupLeft = 0
 	for n < maxInstr && src.Next(&ev) {
 		n++
-		newGroup, _ := front.step(&ev, &scratch)
+		front.observe(ev.PC)
+		newGroup := front.fetch(&scratch)
+		switch ev.Kind {
+		case workload.KindBranch, workload.KindCall, workload.KindReturn:
+			front.control(&ev, &scratch)
+		}
 		if !warmCaches {
 			continue
 		}
@@ -209,39 +130,3 @@ func gangFFAdvance(front *gangFront, members []GangMember, src workload.Source, 
 	}
 	return n
 }
-
-// GangInOrder is the persistent, window-capable form of RunGangInOrder.
-type GangInOrder struct {
-	cfg     Config
-	st      *bpred.Stats
-	front   *gangFront
-	members []GangMember
-}
-
-// NewGangInOrder builds a window-capable in-order gang.
-func NewGangInOrder(cfg Config, bp bpred.Predictor, members []GangMember) (*GangInOrder, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	st := &bpred.Stats{P: bp}
-	return &GangInOrder{cfg: cfg, st: st, front: newGangFront(st, cfg.Width), members: members}, nil
-}
-
-// FastForward advances the shared front-end and warms every member's
-// caches; see GangOutOfOrder.FastForward.
-//
-//simlint:hotpath per-instruction gang fast-forward loop
-func (g *GangInOrder) FastForward(src workload.Source, maxInstr uint64) uint64 {
-	return gangFFAdvance(g.front, g.members, src, maxInstr, true)
-}
-
-// WarmupFrontEnd advances only the shared front-end (no cache warming).
-func (g *GangInOrder) WarmupFrontEnd(src workload.Source, maxInstr uint64) uint64 {
-	return gangFFAdvance(g.front, g.members, src, maxInstr, false)
-}
-
-// SnapshotFrontEnd captures the shared front-end warm state.
-func (g *GangInOrder) SnapshotFrontEnd() (FrontEndState, error) { return g.front.cu.snapshot() }
-
-// RestoreFrontEnd loads a front-end snapshot.
-func (g *GangInOrder) RestoreFrontEnd(s FrontEndState) error { return g.front.cu.restore(s) }

@@ -10,11 +10,9 @@ import (
 
 // gangChunk bounds how many machines one engine pass drives. Chunking
 // keeps a huge gang's per-instruction member loop within a working set
-// the data caches like; the chunks share one generated stream through a
-// workload.Tee, so generation still happens once per gang. Sequential
-// chunks make the tee buffer the full stream for the later chunks —
-// memory proportional to the instruction budget — which is the right
-// trade only past a healthy chunk size; runner-built gangs stay at or
+// the data caches like. Each chunk drives its own generator: generation
+// is deterministic, so every chunk sees the identical stream (and, when
+// sampled, identical window boundaries). Runner-built gangs stay at or
 // below the configured gang size (default 8) and never chunk.
 const gangChunk = 32
 
@@ -26,9 +24,9 @@ const gangChunk = 32
 // system. Cache geometries, resizing organizations and policies,
 // hierarchy depth, MSHRs, and energy models may all differ per member.
 //
-// Each member's Result is bit-identical to Run on the same config
-// (TestGangMatchesGolden pins this against the golden fixtures); a gang
-// of one degenerates to exactly Run.
+// Each member's Result is bit-identical to Run on the same config — Run
+// is the gang of one (TestGangMatchesGolden pins this against the
+// golden fixtures).
 func RunGang(cfgs []Config) ([]Result, error) {
 	out, _, err := RunGangWithCheckpoints(cfgs, nil)
 	return out, err
@@ -64,147 +62,109 @@ func RunGangWithCheckpoints(cfgs []Config, cs CheckpointStore) ([]Result, Warmup
 	for i, cfg := range cfgs {
 		m, err := buildMachine(cfg)
 		if err != nil {
-			return nil, WarmupStats{}, fmt.Errorf("sim: gang member %d: %w", i, err)
+			if len(cfgs) > 1 {
+				err = fmt.Errorf("sim: gang member %d: %w", i, err)
+			}
+			return nil, WarmupStats{}, err
 		}
 		machines[i] = m
 		members[i] = cpu.GangMember{IC: m.ic.level, DC: m.dc.level}
 	}
 
-	if cfgs[0].Sampling.Enabled() {
-		return runSampledGang(cfgs, prof, machines, members, cs)
-	}
-
 	out := make([]Result, len(cfgs))
-	run := func(members []cpu.GangMember, src workload.Source) ([]cpu.Result, error) {
-		if cfgs[0].Engine == InOrder {
-			return cpu.RunGangInOrder(cfgs[0].CPU, bpred.NewDefault(), members, src, cfgs[0].Instructions)
-		}
-		return cpu.RunGangOutOfOrder(cfgs[0].CPU, bpred.NewDefault(), members, src, cfgs[0].Instructions)
-	}
-
-	if len(cfgs) <= gangChunk {
-		results, err := run(members, workload.NewGenerator(prof))
-		if err != nil {
-			return nil, WarmupStats{}, err
-		}
-		for i := range out {
-			out[i] = machines[i].finish(cfgs[i], results[i])
-		}
-		return out, WarmupStats{}, nil
-	}
-
-	// Oversized gang: one generated stream feeds every chunk through a
-	// tee. Each chunk's engine rebuilds the functional front-end state
-	// (predictor, BTB, RAS) from the identical stream, so results stay
-	// bit-identical to the unchunked pass.
-	chunks := (len(cfgs) + gangChunk - 1) / gangChunk
-	tee := workload.NewTee(workload.NewGenerator(prof), chunks)
-	for c := 0; c < chunks; c++ {
-		lo := c * gangChunk
-		hi := min(lo+gangChunk, len(cfgs))
-		results, err := run(members[lo:hi], tee.Source(c))
-		if err != nil {
-			return nil, WarmupStats{}, err
-		}
-		for i, r := range results {
-			out[lo+i] = machines[lo+i].finish(cfgs[lo+i], r)
-		}
-	}
-	return out, WarmupStats{}, nil
-}
-
-// gangEngine is the window-capable gang surface runSampledGang drives;
-// cpu.GangOutOfOrder and cpu.GangInOrder both implement it.
-type gangEngine interface {
-	RunWindow(src workload.Source, maxInstr uint64, base []uint64) []cpu.Result
-	FastForward(src workload.Source, maxInstr uint64) uint64
-	frontEndHolder
-}
-
-// runSampledGang is the sampled counterpart of the gang paths above.
-// Unlike the detailed chunked path, every chunk drives its own generator
-// rather than a tee: generation is deterministic, so the chunks see
-// bit-identical streams and window boundaries anyway, and an owned
-// generator is what lets each chunk Skip the inter-window gaps in O(1) —
-// a tee would have to buffer or replay the skipped region. Chunk 0's
-// warmup populates the checkpoint store (when one is provided), so later
-// chunks restore it instead of re-stepping the prefix.
-func runSampledGang(cfgs []Config, prof *workload.Profile, machines []*machine, members []cpu.GangMember, cs CheckpointStore) ([]Result, WarmupStats, error) {
-	cfg0 := cfgs[0]
-	spec := cfg0.Sampling
 	var ws WarmupStats
-
-	out := make([]Result, len(cfgs))
-	chunks := (len(cfgs) + gangChunk - 1) / gangChunk
-	for c := 0; c < chunks; c++ {
-		lo := c * gangChunk
+	for lo := 0; lo < len(cfgs); lo += gangChunk {
 		hi := min(lo+gangChunk, len(cfgs))
-		var (
-			eng gangEngine
-			err error
-		)
-		if cfg0.Engine == InOrder {
-			eng, err = cpu.NewGangInOrder(cfg0.CPU, bpred.NewDefault(), members[lo:hi])
-		} else {
-			eng, err = cpu.NewGangOutOfOrder(cfg0.CPU, bpred.NewDefault(), members[lo:hi])
+		// Later chunks warm through the store the first chunk just
+		// populated (or re-step the prefix identically when there is
+		// none); their stats are the gang's internal traffic, not the
+		// caller's.
+		chunkWS := &ws
+		if lo > 0 {
+			chunkWS = new(WarmupStats)
 		}
-		if err != nil {
+		if err := runChunk(cfgs[lo:hi], prof, machines[lo:hi], members[lo:hi], cs, chunkWS, out[lo:hi]); err != nil {
 			return nil, ws, err
-		}
-
-		gen := workload.NewGenerator(prof)
-		var consumed uint64
-		if c == 0 {
-			consumed = warmupWithCheckpoint(cfg0, eng, gen, cs, &ws)
-		} else {
-			// Later chunks warm through the store chunk 0 just populated
-			// (or re-step the prefix identically when there is none);
-			// their stats are the gang's internal traffic, not the
-			// caller's.
-			var chunkWS WarmupStats
-			consumed = warmupWithCheckpoint(cfg0, eng, gen, cs, &chunkWS)
-		}
-
-		accs := make([]windowAccum, hi-lo)
-		for i := range accs {
-			accs[i].m = machines[lo+i]
-		}
-		base := make([]uint64, hi-lo)
-		total := consumed
-		for total < cfg0.Instructions {
-			rs := eng.RunWindow(gen, min(spec.DetailedInstructions, cfg0.Instructions-total), base)
-			if rs[0].Instructions == 0 {
-				break // stream exhausted
-			}
-			total += rs[0].Instructions
-			for i := range accs {
-				accs[i].observe(cfgs[lo+i], rs[i])
-				base[i] = rs[i].Cycles
-			}
-			if total >= cfg0.Instructions {
-				break
-			}
-			if sk := min(spec.SkipInstructions, cfg0.Instructions-total); sk > 0 {
-				n := gen.Skip(sk)
-				total += n
-				if n < sk {
-					break // stream exhausted
-				}
-			}
-			ff := min(spec.FastForwardInstructions, cfg0.Instructions-total)
-			n := eng.FastForward(gen, ff)
-			total += n
-			if n < ff {
-				break // stream exhausted
-			}
-		}
-		for i := range accs {
-			res, err := accs[i].finish(cfgs[lo+i], total, consumed)
-			if err != nil {
-				return nil, ws, err
-			}
-			out[lo+i] = res
 		}
 	}
 	return out, ws, nil
+}
+
+// gangEngine is what runChunk and the warmup checkpointing drive;
+// cpu.GangOutOfOrder and cpu.GangInOrder both implement it.
+type gangEngine interface {
+	RunWindow(src workload.Source, maxInstr uint64) []cpu.Result
+	FastForward(src workload.Source, maxInstr uint64) uint64
+	WarmupFrontEnd(src workload.Source, maxInstr uint64) uint64
+	SnapshotFrontEnd() (cpu.FrontEndState, error)
+	RestoreFrontEnd(cpu.FrontEndState) error
+}
+
+// runChunk drives one engine pass over a chunk of the gang and writes
+// each member's Result to out. A sampled run is a (checkpointed) warmup
+// prefix, then detailed windows alternating with skip and fast-forward
+// gaps until the budget or the stream runs out; a detailed run is the
+// same loop with no warmup and one window spanning the whole budget.
+func runChunk(cfgs []Config, prof *workload.Profile, machines []*machine, members []cpu.GangMember, cs CheckpointStore, ws *WarmupStats, out []Result) error {
+	cfg0 := cfgs[0]
+	var (
+		eng gangEngine
+		err error
+	)
+	if cfg0.Engine == InOrder {
+		eng, err = cpu.NewGangInOrder(cfg0.CPU, bpred.NewDefault(), members)
+	} else {
+		eng, err = cpu.NewGangOutOfOrder(cfg0.CPU, bpred.NewDefault(), members)
+	}
+	if err != nil {
+		return err
+	}
+
+	spec := cfg0.Sampling
+	if !spec.Enabled() {
+		spec = SamplingSpec{DetailedInstructions: cfg0.Instructions}
+	}
+	gen := workload.NewGenerator(prof)
+	consumed := warmupWithCheckpoint(cfg0, eng, gen, cs, ws)
+
+	accs := make([]windowAccum, len(cfgs))
+	for i := range accs {
+		accs[i].m = machines[i]
+	}
+	total := consumed
+	for total < cfg0.Instructions {
+		want := min(spec.DetailedInstructions, cfg0.Instructions-total)
+		rs := eng.RunWindow(gen, want)
+		total += rs[0].Instructions
+		if rs[0].Instructions > 0 {
+			for i := range accs {
+				accs[i].observe(cfgs[i], rs[i])
+			}
+		}
+		if total >= cfg0.Instructions || rs[0].Instructions < want {
+			break // budget spent or stream exhausted
+		}
+		// Gap to the next window: optional O(1) skip, then functional
+		// warming right before the measurement so the window sees
+		// representative cache and predictor state.
+		if sk := min(spec.SkipInstructions, cfg0.Instructions-total); sk > 0 {
+			n := gen.Skip(sk)
+			total += n
+			if n < sk {
+				break // stream exhausted
+			}
+		}
+		ff := min(spec.FastForwardInstructions, cfg0.Instructions-total)
+		n := eng.FastForward(gen, ff)
+		total += n
+		if n < ff {
+			break // stream exhausted; nothing left for another window
+		}
+	}
+	for i := range accs {
+		if out[i], err = accs[i].finish(cfgs[i], total, consumed); err != nil {
+			return err
+		}
+	}
+	return nil
 }

@@ -18,9 +18,9 @@ func gangSiblings(cfg Config) []Config {
 }
 
 // TestGangMatchesGolden: for every golden-fixture config, a gang of the
-// config plus per-member variants returns Results bit-identical to solo
-// Run — the golden fixtures are the oracle because TestGoldenResults
-// pins Run itself.
+// config plus per-member variants returns Results bit-identical to each
+// member run alone (Run, a gang of one) — the golden fixtures are the
+// oracle because TestGoldenResults pins Run itself.
 func TestGangMatchesGolden(t *testing.T) {
 	for name, cfg := range goldenConfigs() {
 		cfg := cfg
@@ -30,7 +30,7 @@ func TestGangMatchesGolden(t *testing.T) {
 			for i, c := range gang {
 				r, err := Run(c)
 				if err != nil {
-					t.Fatalf("solo member %d: %v", i, err)
+					t.Fatalf("member %d alone: %v", i, err)
 				}
 				want[i] = r
 			}
@@ -47,23 +47,6 @@ func TestGangMatchesGolden(t *testing.T) {
 	}
 }
 
-// TestGangSingleMember: a gang of one degenerates to Run exactly.
-func TestGangSingleMember(t *testing.T) {
-	cfg := Default("gcc")
-	cfg.Instructions = 50_000
-	want, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := RunGang([]Config{cfg})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 1 || !reflect.DeepEqual(got[0], want) {
-		diffResult(t, "single", want, got[0])
-	}
-}
-
 // TestGangEmpty: an empty gang is a no-op, not an error.
 func TestGangEmpty(t *testing.T) {
 	res, err := RunGang(nil)
@@ -72,8 +55,9 @@ func TestGangEmpty(t *testing.T) {
 	}
 }
 
-// TestGangChunked: a gang larger than the chunk size replays the stream
-// through the tee and still matches solo runs member for member.
+// TestGangChunked: a gang larger than the chunk size runs one engine
+// pass per chunk, each over its own generator, and still matches every
+// member run alone.
 func TestGangChunked(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chunked gang is long")

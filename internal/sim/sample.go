@@ -1,7 +1,10 @@
 package sim
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 
@@ -130,10 +133,11 @@ type CheckpointStore interface {
 
 // checkpointFormatVersion tags the serialized warmup-checkpoint payload.
 // Bump it whenever the warm-state wire format changes — any field change
-// in workload.Snapshot, cpu.FrontEndState, or the bpred state structs —
-// so stale checkpoints miss instead of restoring skewed state (see
-// CONTRIBUTING.md).
-const checkpointFormatVersion = 1
+// in workload.Snapshot, cpu.FrontEndState, or the bpred state structs,
+// or in the sealed envelope — so stale checkpoints miss instead of
+// restoring skewed state (see CONTRIBUTING.md). Version 2 seals the
+// payload with a digest.
+const checkpointFormatVersion = 2
 
 // checkpointPayload is the serialized post-warmup state: the workload
 // generator position and the front-end warm state. Deliberately no cache
@@ -157,32 +161,86 @@ func (c Config) WarmKey() Key {
 		Sum()
 }
 
-func decodeCheckpoint(data []byte) (checkpointPayload, error) {
+// A checkpoint is stored sealed: the JSON object
+//
+//	{"sum":"<hex SHA-256 of WarmKey and body>","body":<payload>}
+//
+// laid out byte for byte as sealCheckpoint writes it (stores return
+// artifacts verbatim), so opening it costs one hash and the payload's
+// own decode. A restored checkpoint is state the run trusts — an altered
+// but in-range RNG word or predictor counter would silently change the
+// result — so a payload whose digest does not match is a miss, like any
+// undecodable one; the key in the digest also rejects a checkpoint filed
+// under another config's key.
+const (
+	sealPrefix = `{"sum":"`
+	sealInfix  = `","body":`
+	sealHeader = len(sealPrefix) + 2*sha256.Size + len(sealInfix)
+)
+
+func checkpointSum(key Key, body []byte) string {
+	h := sha256.New()
+	h.Write(key[:])
+	h.Write(body)
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// sealCheckpoint encodes p for storage under key.
+func sealCheckpoint(key Key, p checkpointPayload) ([]byte, error) {
+	body, err := json.Marshal(p)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]byte, 0, sealHeader+len(body)+1)
+	out = append(out, sealPrefix...)
+	out = append(out, checkpointSum(key, body)...)
+	out = append(out, sealInfix...)
+	out = append(out, body...)
+	return append(out, '}'), nil
+}
+
+// unsealCheckpoint returns the payload of a checkpoint sealed for key.
+func unsealCheckpoint(key Key, data []byte) ([]byte, error) {
+	if len(data) <= sealHeader || string(data[:len(sealPrefix)]) != sealPrefix ||
+		string(data[sealHeader-len(sealInfix):sealHeader]) != sealInfix || data[len(data)-1] != '}' {
+		return nil, fmt.Errorf("sim: not a sealed checkpoint")
+	}
+	body := data[sealHeader : len(data)-1]
+	if string(data[len(sealPrefix):sealHeader-len(sealInfix)]) != checkpointSum(key, body) {
+		return nil, fmt.Errorf("sim: checkpoint digest mismatch")
+	}
+	return body, nil
+}
+
+// openCheckpoint decodes the checkpoint stored under key for a warmup
+// of want instructions. Anything but a payload sealed for key, in this
+// format version, whose prefix is exactly what the generator consumed
+// and no longer than the warmup, is an error.
+func openCheckpoint(key Key, want uint64, data []byte) (checkpointPayload, error) {
 	var p checkpointPayload
-	if err := json.Unmarshal(data, &p); err != nil {
+	body, err := unsealCheckpoint(key, data)
+	if err != nil {
 		return p, err
 	}
-	if p.Version != checkpointFormatVersion {
+	if err := json.Unmarshal(body, &p); err != nil {
+		return p, err
+	}
+	switch {
+	case p.Version != checkpointFormatVersion:
 		return p, fmt.Errorf("sim: checkpoint format version %d, want %d", p.Version, checkpointFormatVersion)
+	case p.Consumed != p.Gen.Instr || p.Consumed > want:
+		return p, fmt.Errorf("sim: checkpoint prefix of %d instructions (generator at %d) does not fit a %d-instruction warmup", p.Consumed, p.Gen.Instr, want)
 	}
 	return p, nil
 }
 
-// frontEndHolder is the warm-state surface shared by the solo and gang
-// engines; warmupWithCheckpoint drives any of them.
-type frontEndHolder interface {
-	WarmupFrontEnd(src workload.Source, maxInstr uint64) uint64
-	SnapshotFrontEnd() (cpu.FrontEndState, error)
-	RestoreFrontEnd(cpu.FrontEndState) error
-}
-
 // warmupWithCheckpoint runs the warmup prefix: on a store hit it
 // restores the generator and front-end instead of stepping them; on a
-// miss it computes the warm state and records it. Any undecodable or
-// shape-mismatched stored payload falls back to a cold warmup (and is
-// overwritten), so a corrupt store can never fail a run. Returns the
-// instructions the prefix consumed.
-func warmupWithCheckpoint(cfg Config, eng frontEndHolder, gen *workload.Generator, cs CheckpointStore, ws *WarmupStats) uint64 {
+// miss it computes the warm state and records it. Any stored payload
+// that fails to open or to restore falls back to a cold warmup (and is
+// overwritten), so a corrupt store can never fail or alter a run.
+// Returns the instructions the prefix consumed.
+func warmupWithCheckpoint(cfg Config, eng gangEngine, gen *workload.Generator, cs CheckpointStore, ws *WarmupStats) uint64 {
 	want := cfg.Sampling.WarmupInstructions
 	if want == 0 {
 		return 0
@@ -190,12 +248,9 @@ func warmupWithCheckpoint(cfg Config, eng frontEndHolder, gen *workload.Generato
 	key := cfg.WarmKey()
 	if cs != nil {
 		if data, ok := cs.LookupArtifact(key); ok {
-			if p, err := decodeCheckpoint(data); err == nil {
-				if err := eng.RestoreFrontEnd(p.Front); err == nil {
-					gen.Restore(p.Gen)
-					ws.CheckpointHit = true
-					return p.Consumed
-				}
+			if p, err := openCheckpoint(key, want, data); err == nil && restoreCheckpoint(eng, gen, p) == nil {
+				ws.CheckpointHit = true
+				return p.Consumed
 			}
 		}
 	}
@@ -203,7 +258,7 @@ func warmupWithCheckpoint(cfg Config, eng frontEndHolder, gen *workload.Generato
 	if cs != nil {
 		front, err := eng.SnapshotFrontEnd()
 		if err == nil {
-			data, err := json.Marshal(checkpointPayload{
+			data, err := sealCheckpoint(key, checkpointPayload{
 				Version:  checkpointFormatVersion,
 				Consumed: n,
 				Gen:      gen.Snapshot(),
@@ -216,6 +271,24 @@ func warmupWithCheckpoint(cfg Config, eng frontEndHolder, gen *workload.Generato
 		}
 	}
 	return n
+}
+
+// restoreCheckpoint loads p into the engine's front-end and the
+// generator or, when either rejects its half, leaves both as they were
+// (Generator.Restore checks before it writes; a front-end restore that
+// fails part-way is rolled back), so the cold warmup that follows
+// starts from a clean slate.
+func restoreCheckpoint(eng gangEngine, gen *workload.Generator, p checkpointPayload) error {
+	cold, err := eng.SnapshotFrontEnd()
+	if err != nil {
+		return err
+	}
+	if err = eng.RestoreFrontEnd(p.Front); err == nil {
+		if err = gen.Restore(p.Gen); err == nil {
+			return nil
+		}
+	}
+	return errors.Join(err, eng.RestoreFrontEnd(cold))
 }
 
 // integrateTo accrues every level's background energy up to cycle now, so
@@ -271,20 +344,23 @@ type windowAccum struct {
 
 // observe folds one detailed window's result in. Window energy is the
 // machine's energy delta (after integrating background energy to the
-// window's end cycle) plus the core energy of the window's activity.
+// window's end cycle) plus the core energy of the window's activity. A
+// detailed run's single window is only aggregated: it is the result.
 func (w *windowAccum) observe(cfg Config, r cpu.Result) {
-	winCycles := r.Cycles - w.base
-	w.m.integrateTo(r.Cycles)
-	nowPJ := w.m.energyPJ()
-	winPJ := nowPJ - w.prevPJ + cfg.Core.CorePJ(r.Activity, r.Instructions, winCycles)
-	w.prevPJ = nowPJ
-	instr := float64(r.Instructions)
-	w.cpi = append(w.cpi, float64(winCycles)/instr)
-	w.epi = append(w.epi, winPJ/instr)
-	if len(w.cpi) == 1 {
-		w.firstInstr = r.Instructions
-		w.firstCycles = winCycles
-		w.firstPJ = winPJ
+	if cfg.Sampling.Enabled() {
+		winCycles := r.Cycles - w.base
+		w.m.integrateTo(r.Cycles)
+		nowPJ := w.m.energyPJ()
+		winPJ := nowPJ - w.prevPJ + cfg.Core.CorePJ(r.Activity, r.Instructions, winCycles)
+		w.prevPJ = nowPJ
+		instr := float64(r.Instructions)
+		w.cpi = append(w.cpi, float64(winCycles)/instr)
+		w.epi = append(w.epi, winPJ/instr)
+		if len(w.cpi) == 1 {
+			w.firstInstr = r.Instructions
+			w.firstCycles = winCycles
+			w.firstPJ = winPJ
+		}
 	}
 	w.agg.Instructions += r.Instructions
 	w.agg.Activity.Add(r.Activity)
@@ -294,7 +370,8 @@ func (w *windowAccum) observe(cfg Config, r cpu.Result) {
 }
 
 // finish scales the detailed aggregate to a whole-run estimate of total
-// instructions and attaches the SampleReport.
+// instructions and attaches the SampleReport; a detailed run's aggregate
+// needs no scaling and gets no report.
 //
 // Cycles and energy use the stratified estimator described on
 // windowAccum: window 1's measurement counts once, the steady windows'
@@ -302,6 +379,9 @@ func (w *windowAccum) observe(cfg Config, r cpu.Result) {
 // accesses, activity events) are instruction-proportional and scale
 // uniformly by total/detailed.
 func (w *windowAccum) finish(cfg Config, total, warmup uint64) (Result, error) {
+	if !cfg.Sampling.Enabled() {
+		return w.m.finish(cfg, w.agg), nil
+	}
 	if w.agg.Instructions == 0 {
 		return Result{}, fmt.Errorf("sim: %s: no detailed instructions measured (stream exhausted before the first window)", cfg.Benchmark)
 	}
@@ -409,58 +489,4 @@ func relStdErr(samples []float64) float64 {
 	}
 	se := math.Sqrt(ss/float64(n-1)) / math.Sqrt(float64(n))
 	return se / mean
-}
-
-// runSampledSolo is the sampled counterpart of the solo path in
-// RunWithCheckpoints: warmup prefix (checkpointed), then alternating
-// detailed and fast-forward windows until the instruction budget (or the
-// stream) is exhausted.
-func runSampledSolo(cfg Config, prof *workload.Profile, cs CheckpointStore) (Result, WarmupStats, error) {
-	m, err := buildMachine(cfg)
-	if err != nil {
-		return Result{}, WarmupStats{}, err
-	}
-	eng, err := buildSoloEngine(cfg, m)
-	if err != nil {
-		return Result{}, WarmupStats{}, err
-	}
-	gen := workload.NewGenerator(prof)
-	var ws WarmupStats
-	consumed := warmupWithCheckpoint(cfg, eng, gen, cs, &ws)
-
-	spec := cfg.Sampling
-	acc := windowAccum{m: m}
-	total := consumed
-	for total < cfg.Instructions {
-		r := eng.RunWindow(gen, min(spec.DetailedInstructions, cfg.Instructions-total), acc.base)
-		if r.Instructions == 0 {
-			break // stream exhausted
-		}
-		total += r.Instructions
-		acc.observe(cfg, r)
-		if total >= cfg.Instructions {
-			break
-		}
-		// Gap to the next window: optional O(1) skip, then functional
-		// warming right before the measurement so the window sees
-		// representative cache and predictor state.
-		if sk := min(spec.SkipInstructions, cfg.Instructions-total); sk > 0 {
-			n := gen.Skip(sk)
-			total += n
-			if n < sk {
-				break // stream exhausted
-			}
-		}
-		ff := min(spec.FastForwardInstructions, cfg.Instructions-total)
-		n := eng.FastForward(gen, ff)
-		total += n
-		if n < ff {
-			break // stream exhausted; nothing left for another window
-		}
-	}
-	res, err := acc.finish(cfg, total, consumed)
-	if err != nil {
-		return Result{}, ws, err
-	}
-	return res, ws, nil
 }

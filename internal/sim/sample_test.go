@@ -223,7 +223,7 @@ func TestCorruptCheckpointFallsBack(t *testing.T) {
 }
 
 // TestSampledGangMatchesSolo: a sampled gang must stay bit-identical to
-// its members run solo, exactly like the detailed gang paths.
+// each member run alone (a gang of one), exactly like detailed gangs.
 func TestSampledGangMatchesSolo(t *testing.T) {
 	base := goldenConfigs()["gcc-ooo-base"]
 	base.Sampling = fidelitySpec()

@@ -10,7 +10,6 @@ package sim
 import (
 	"fmt"
 
-	"resizecache/internal/bpred"
 	"resizecache/internal/cache"
 	"resizecache/internal/core"
 	"resizecache/internal/cpu"
@@ -349,8 +348,7 @@ func buildHierarchy(specs []LevelSpec, em geometry.EnergyModel, mem cache.Level)
 }
 
 // validated resolves the config's workload profile and rejects
-// structurally invalid configs. Shared by Run and RunGang so both entry
-// points fail identically.
+// structurally invalid configs; RunGang checks every member with it.
 func validated(cfg Config) (*workload.Profile, error) {
 	prof, err := workload.Get(cfg.Benchmark)
 	if err != nil {
@@ -374,9 +372,8 @@ func validated(cfg Config) (*workload.Profile, error) {
 }
 
 // machine is one config's built memory system — the split L1s, the
-// shared hierarchy, and the memories behind them. Run drives one
-// machine with a solo engine; RunGang builds N machines and drives them
-// all from one engine pass.
+// shared hierarchy, and the memories behind them. RunGang builds one
+// machine per config and drives them all from one engine pass.
 type machine struct {
 	dc, ic builtLevel
 	shared []builtLevel
@@ -495,26 +492,7 @@ func (m *machine) finish(cfg Config, res cpu.Result) Result {
 	}
 }
 
-// soloEngine is what Run needs from an engine beyond the basic Engine
-// contract: window-chained detailed execution, functional fast-forward,
-// and front-end warm-state snapshots for the sampled execution mode.
-// Both concrete engines implement it.
-type soloEngine interface {
-	cpu.Engine
-	RunWindow(src workload.Source, maxInstr uint64, base uint64) cpu.Result
-	FastForward(src workload.Source, maxInstr uint64) uint64
-	frontEndHolder
-}
-
-// buildSoloEngine constructs the configured engine over the machine's L1s.
-func buildSoloEngine(cfg Config, m *machine) (soloEngine, error) {
-	if cfg.Engine == InOrder {
-		return cpu.NewInOrder(cfg.CPU, m.ic.level, m.dc.level, bpred.NewDefault())
-	}
-	return cpu.NewOutOfOrder(cfg.CPU, m.ic.level, m.dc.level, bpred.NewDefault())
-}
-
-// Run executes one simulation.
+// Run executes one simulation: a gang of one.
 func Run(cfg Config) (Result, error) {
 	res, _, err := RunWithCheckpoints(cfg, nil)
 	return res, err
@@ -527,21 +505,9 @@ func Run(cfg Config) (Result, error) {
 // cfg.WarmKey() for later runs; the Result is bit-identical either way.
 // The returned WarmupStats says which of the two happened.
 func RunWithCheckpoints(cfg Config, cs CheckpointStore) (Result, WarmupStats, error) {
-	prof, err := validated(cfg)
+	out, ws, err := RunGangWithCheckpoints([]Config{cfg}, cs)
 	if err != nil {
-		return Result{}, WarmupStats{}, err
+		return Result{}, ws, err
 	}
-	if cfg.Sampling.Enabled() {
-		return runSampledSolo(cfg, prof, cs)
-	}
-	m, err := buildMachine(cfg)
-	if err != nil {
-		return Result{}, WarmupStats{}, err
-	}
-	engine, err := buildSoloEngine(cfg, m)
-	if err != nil {
-		return Result{}, WarmupStats{}, err
-	}
-	res := engine.Run(workload.NewGenerator(prof), cfg.Instructions)
-	return m.finish(cfg, res), WarmupStats{}, nil
+	return out[0], ws, nil
 }

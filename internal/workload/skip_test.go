@@ -53,7 +53,9 @@ func TestSkipSnapshotRestore(t *testing.T) {
 	snap := a.Snapshot()
 
 	b := NewGenerator(MustGet("vpr"))
-	b.Restore(snap)
+	if err := b.Restore(snap); err != nil {
+		t.Fatal(err)
+	}
 	for i := 0; i < 5_000; i++ {
 		oa, ob := a.Next(&ea), b.Next(&eb)
 		if oa != ob || ea != eb {
@@ -103,6 +105,77 @@ func TestSkipZeroIsFree(t *testing.T) {
 		oa, ob := a.Next(&ea), b.Next(&eb)
 		if oa != ob || ea != eb {
 			t.Fatalf("event %d diverged after Skip(0)", i)
+		}
+	}
+}
+
+// TestRestoreRejectsMisfitSnapshot: a snapshot that cannot be a state of
+// a generator over the profile — the shapes a corrupt checkpoint takes —
+// is an error, never a later index panic, and leaves the generator
+// untouched.
+func TestRestoreRejectsMisfitSnapshot(t *testing.T) {
+	src := NewGenerator(MustGet("gcc"))
+	var ev Event
+	for i := 0; i < 10_000; i++ {
+		src.Next(&ev)
+	}
+	good := src.Snapshot()
+	for name, mutate := range map[string]func(*Snapshot){
+		"phase out of range":  func(s *Snapshot) { s.PhaseIdx = 99 },
+		"negative phase":      func(s *Snapshot) { s.PhaseIdx = -1 },
+		"no data cursors":     func(s *Snapshot) { s.DCursors = []int{} },
+		"extra data cursor":   func(s *Snapshot) { s.DCursors = append(s.DCursors, 0) },
+		"data cursor too big": func(s *Snapshot) { s.DCursors[0] = 1 << 30 },
+		"negative cursor":     func(s *Snapshot) { s.DCursors[0] = -1 },
+		"code cursor":         func(s *Snapshot) { s.ICursor = 1 << 30 },
+		"unaligned code":      func(s *Snapshot) { s.ICursor = 2 },
+		"conflict cursor":     func(s *Snapshot) { s.DConfCursor = 1 << 20 },
+		"phase overrun":       func(s *Snapshot) { s.PhaseLeft = 1 << 62 },
+		"zero rng":            func(s *Snapshot) { s.RNG = 0 },
+		"run length":          func(s *Snapshot) { s.RunLeft = 7 },
+		"call depth":          func(s *Snapshot) { s.CallDepth = -3 },
+	} {
+		bad := good
+		bad.DCursors = append([]int(nil), good.DCursors...)
+		mutate(&bad)
+		fresh, ref := NewGenerator(MustGet("gcc")), NewGenerator(MustGet("gcc"))
+		if err := fresh.Restore(bad); err == nil {
+			t.Errorf("%s: restored without error", name)
+		}
+		var a, b Event
+		for i := 0; i < 1_000; i++ {
+			fresh.Next(&a)
+			ref.Next(&b)
+			if a != b {
+				t.Fatalf("%s: failed restore perturbed the generator at event %d", name, i)
+			}
+		}
+	}
+	if err := NewGenerator(MustGet("gcc")).Restore(good); err != nil {
+		t.Fatalf("genuine snapshot rejected: %v", err)
+	}
+}
+
+// TestRestoreAcceptsEveryGenuineSnapshot: the fit check must never
+// reject a state the generator itself reaches — across every profile,
+// phase transitions, and skips — or valid checkpoints would silently
+// degrade to cold warmups.
+func TestRestoreAcceptsEveryGenuineSnapshot(t *testing.T) {
+	for _, name := range Names() {
+		g := NewGenerator(MustGet(name))
+		var ev Event
+		for i := 0; i < 300_000; i++ {
+			if !g.Next(&ev) {
+				break
+			}
+			if i%997 == 0 {
+				if err := NewGenerator(MustGet(name)).Restore(g.Snapshot()); err != nil {
+					t.Fatalf("%s at instruction %d: %v", name, i, err)
+				}
+			}
+			if i%50_000 == 0 {
+				g.Skip(30_000)
+			}
 		}
 	}
 }

@@ -162,6 +162,9 @@ type Generator struct {
 	iBase    []uint64  // per-ILevel region base address
 }
 
+// maxCallDepth bounds the generated call nesting.
+const maxCallDepth = 48
+
 // Address-space layout: disjoint regions so streams never alias.
 const (
 	codeBase     = 0x0040_0000
@@ -424,7 +427,7 @@ func (g *Generator) Next(ev *Event) bool {
 		// conditional branches.
 		cr := g.r.float()
 		switch {
-		case cr < 0.12 && g.callDepth < 48:
+		case cr < 0.12 && g.callDepth < maxCallDepth:
 			ev.Kind = KindCall
 			ev.Taken = true
 			g.callDepth++
