@@ -197,13 +197,14 @@ func BenchmarkAblationFreeFlush(b *testing.B) {
 // prefer-highest-associativity rule versus preferring the fewest ways.
 func BenchmarkAblationHybridTieBreak(b *testing.B) {
 	opts := benchOpts()
+	ctx, r := context.Background(), runner.New(runner.Options{})
 	var maxAssoc, minWays float64
 	for i := 0; i < b.N; i++ {
-		ba, err := experiment.BestStatic("vpr", experiment.DSide, core.Hybrid, 4, opts)
+		ba, err := experiment.BestSpec(ctx, r, experiment.NewSweepSpec("vpr", experiment.DSide, core.Hybrid, 4, false, opts))
 		if err != nil {
 			b.Fatal(err)
 		}
-		bw, err := experiment.BestStatic("vpr", experiment.DSide, core.HybridMinWays, 4, opts)
+		bw, err := experiment.BestSpec(ctx, r, experiment.NewSweepSpec("vpr", experiment.DSide, core.HybridMinWays, 4, false, opts))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -253,7 +254,7 @@ func BenchmarkAblationNoSizeBound(b *testing.B) {
 // BenchmarkRunnerMemoization quantifies the tentpole property of the
 // run-orchestration layer: a repeated sweep resolves from the memo store
 // instead of re-simulating. Each iteration profiles one app across all
-// three organizations on a cold runner — the three BestStatic sweeps
+// three organizations on a cold runner — the three static sweeps
 // share their non-resizable baseline, so even the cold pass must score
 // memo hits — then repeats the identical sweep warm, which must complete
 // with zero fresh simulations and far lower wall time.
@@ -263,10 +264,11 @@ func BenchmarkRunnerMemoization(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		opts := benchOpts()
 		opts.Apps = []string{"m88ksim"}
-		opts.Runner = runner.New(runner.Options{})
+		r := runner.New(runner.Options{})
 		sweep := func() {
 			for _, org := range orgs {
-				if _, err := experiment.BestStatic("m88ksim", experiment.DSide, org, 4, opts); err != nil {
+				if _, err := experiment.BestSpec(context.Background(), r,
+					experiment.NewSweepSpec("m88ksim", experiment.DSide, org, 4, false, opts)); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -274,14 +276,14 @@ func BenchmarkRunnerMemoization(b *testing.B) {
 		start := time.Now()
 		sweep()
 		cold := time.Since(start)
-		afterCold := opts.Runner.Stats()
+		afterCold := r.Stats()
 		if afterCold.Hits() < 1 {
 			b.Fatalf("cold sweep scored no memo hits: %+v", afterCold)
 		}
 		start = time.Now()
 		sweep()
 		warm := time.Since(start)
-		st := opts.Runner.Stats()
+		st := r.Stats()
 		if st.Runs != afterCold.Runs {
 			b.Fatalf("warm sweep re-simulated: %d -> %d runs", afterCold.Runs, st.Runs)
 		}

@@ -116,6 +116,7 @@ func realMain() int {
 		}
 		if *sample {
 			fmt.Fprintln(os.Stderr, "figures: -sample is not supported for sensitivity experiments (they bypass the plan protocol)")
+			return 1
 		}
 		if *server != "" {
 			fmt.Fprintln(os.Stderr, "figures: -server is not supported for sensitivity experiments (they bypass the plan protocol)")
@@ -305,27 +306,26 @@ func runSens(ctx context.Context, exp string, instr uint64, apps []string, par, 
 	opts := experiment.DefaultOptions()
 	opts.Instructions = instr
 	opts.Apps = apps
-	opts.Runner = r
 
 	sens := func(name string) bool { return exp == "sens" || exp == name }
 	var err error
 	if err == nil && sens("sens-subarray") {
 		var rows []experiment.SensitivityRow
-		if rows, err = experiment.SubarraySensitivityContext(ctx, opts); err == nil {
+		if rows, err = experiment.SubarraySensitivity(ctx, r, opts); err == nil {
 			fmt.Println(experiment.RenderSensitivity(
 				"Sensitivity: subarray granularity (static selective-sets d-cache)", rows))
 		}
 	}
 	if err == nil && sens("sens-interval") {
 		var rows []experiment.SensitivityRow
-		if rows, err = experiment.IntervalSensitivityContext(ctx, opts); err == nil {
+		if rows, err = experiment.IntervalSensitivity(ctx, r, opts); err == nil {
 			fmt.Println(experiment.RenderSensitivity(
 				"Sensitivity: dynamic interval (in-order engine, d-cache)", rows))
 		}
 	}
 	if err == nil && sens("sens-l2") {
 		var rows []experiment.SensitivityRow
-		if rows, err = experiment.L2SensitivityContext(ctx, opts); err == nil {
+		if rows, err = experiment.L2Sensitivity(ctx, r, opts); err == nil {
 			fmt.Println(experiment.RenderSensitivity(
 				"Sensitivity: L2 capacity (static selective-sets d-cache)", rows))
 		}

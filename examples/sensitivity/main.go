@@ -5,18 +5,22 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
 	"resizecache/internal/experiment"
+	"resizecache/internal/runner"
 )
 
 func main() {
+	ctx := context.Background()
+	r := runner.New(runner.Options{})
 	opts := experiment.DefaultOptions()
 	opts.Instructions = 500_000
 	opts.Apps = []string{"ammp", "vpr"}
 
-	rows, err := experiment.SubarraySensitivity(opts)
+	rows, err := experiment.SubarraySensitivity(ctx, r, opts)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -26,7 +30,7 @@ func main() {
 	fmt.Println("points, so small-working-set apps keep gaining; coarser subarrays")
 	fmt.Println("throw that opportunity away.")
 
-	rows, err = experiment.IntervalSensitivity(opts)
+	rows, err = experiment.IntervalSensitivity(ctx, r, opts)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -57,8 +57,8 @@ func Table2() string {
 		{"writeback buffer / mshr", fmt.Sprintf("%d entries / %d entries", cfg.WritebackEntries, cfg.MSHREntries)},
 		{"Base L1 i-cache", fmt.Sprintf("%v; 1 cycle", cfg.ICache.Geom)},
 		{"Base L1 d-cache", fmt.Sprintf("%v; 1 cycle", cfg.DCache.Geom)},
-		{"L2 unified cache", fmt.Sprintf("%v; %d cycles", cfg.Hierarchy()[0].Geom,
-			geometry.AccessLatencyCycles(cfg.Hierarchy()[0].Geom))},
+		{"L2 unified cache", fmt.Sprintf("%v; %d cycles", cfg.Levels[0].Geom,
+			geometry.AccessLatencyCycles(cfg.Levels[0].Geom))},
 		{"Memory access latency", "(80 + 5 per 8 bytes) cycles"},
 	}
 	for _, r := range rows {

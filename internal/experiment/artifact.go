@@ -8,9 +8,9 @@ import (
 	"resizecache/internal/sim"
 )
 
-// Sweep-artifact caching: BestStatic/BestDynamic winner selections are
-// sweep-level artifacts — pure functions of the configs the sweep runs —
-// and every figure driver re-derives the same grids (Figure 6 repeats
+// Sweep-artifact caching: BestSpec winner selections are sweep-level
+// artifacts — pure functions of the configs the sweep runs — and every
+// figure driver re-derives the same grids (Figure 6 repeats
 // Figure 4's ways/sets cells, Figure 9 repeats Figure 5's and 8's
 // selective-sets winners). The helpers here memoize a Best through the
 // runner's two-tier artifact cache (in-memory + persistent store) under

@@ -1,17 +1,18 @@
 // Package experiment defines the paper's evaluation machinery: offline
 // profiling sweeps that select static sizes and dynamic parameters by
-// minimum energy-delay product (BestStatic/BestDynamic/Combined, with
-// SweepSpec as the shared sweep descriptor), plus the extension
+// minimum energy-delay product (BestSpec over a SweepSpec, and
+// CombinedBests for the decoupled multi-cache run), plus the extension
 // sensitivity studies. The table/figure drivers themselves live in the
 // public figures package, built on the facade's Grid/Plan/Session.Run
 // batch API.
 //
 // All simulation execution goes through the run-orchestration layer
-// (internal/runner): sweeps submit batches of configs to a shared
-// memoizing worker pool, so repeated configurations — most prominently
-// the non-resizable baseline every sweep compares against — simulate at
-// most once per runner, and a plan's sweeps can be enqueued up front in
-// one batched pass (EnqueueSweeps) so gathers join in-flight work. On
+// (internal/runner): every entry point takes the *runner.Runner it
+// submits to, and sweeps sharing a runner share its memoizing worker
+// pool, so repeated configurations — most prominently the non-resizable
+// baseline every sweep compares against — simulate at most once per
+// runner, and a plan's sweeps can be enqueued up front in one batched
+// pass (EnqueueSweeps) so gathers join in-flight work. On
 // top of that, every winner-selection sweep (BestSpec and the
 // sensitivity variants) memoizes its outcome as a sweep-level artifact
 // (see artifact.go), so a driver repeating a grid another figure
@@ -61,22 +62,16 @@ func (s Side) String() string {
 }
 
 // Options control sweep scale; the defaults regenerate the paper's
-// figures at full fidelity.
+// figures at full fidelity. Concurrency is the runner's: its worker pool
+// bounds every sweep submitted to it.
 type Options struct {
 	// Instructions per simulation.
 	Instructions uint64
-	// Parallelism bounds concurrent simulations within one sweep
-	// (0 = the runner's worker-pool size).
-	Parallelism int
 	// Apps restricts the benchmark list (nil = all twelve).
 	Apps []string
 	// Engine is the processor model (Figures 4-6 and 9 use the
 	// out-of-order base configuration).
 	Engine sim.EngineKind
-	// Runner executes the simulations (nil = the process-wide shared
-	// runner). Passing a dedicated runner makes a sweep hermetic; passing
-	// one with a DiskStore makes it resumable across processes.
-	Runner *runner.Runner
 }
 
 // DefaultOptions returns full-fidelity settings.
@@ -89,19 +84,6 @@ func (o Options) apps() []string {
 		return o.Apps
 	}
 	return workload.Names()
-}
-
-func (o Options) runner() *runner.Runner {
-	if o.Runner != nil {
-		return o.Runner
-	}
-	return runner.Default()
-}
-
-// runAll submits a batch (keys from sim.Keys) through the configured
-// runner, honouring the sweep-level parallelism bound.
-func (o Options) runAll(ctx context.Context, cfgs []sim.Config, keys []sim.Key) ([]sim.Result, error) {
-	return o.runner().RunAllLimit(ctx, cfgs, keys, o.Parallelism)
 }
 
 // l1Geom returns the experiments' 32K L1 geometry at a set-associativity.
@@ -206,13 +188,12 @@ func applySide(cfg *sim.Config, side Side, spec sim.CacheSpec) {
 	case ISide:
 		cfg.ICache = spec
 	case L2Side:
-		levels := append([]sim.LevelSpec(nil), cfg.Hierarchy()...)
+		levels := append([]sim.LevelSpec(nil), cfg.Levels...)
 		// sideGeom already rejected an empty hierarchy.
 		levels[0].Geom = spec.Geom
 		levels[0].Org = spec.Org
 		levels[0].Policy = spec.Policy
 		cfg.Levels = levels
-		cfg.L2Geom = geometry.Geometry{}
 	default:
 		cfg.DCache = spec
 	}
@@ -224,11 +205,10 @@ func sideGeom(cfg sim.Config, side Side) (geometry.Geometry, error) {
 	case ISide:
 		return cfg.ICache.Geom, nil
 	case L2Side:
-		levels := cfg.Hierarchy()
-		if len(levels) == 0 {
+		if len(cfg.Levels) == 0 {
 			return geometry.Geometry{}, fmt.Errorf("experiment: L2 resizing needs a shared level in the hierarchy")
 		}
-		return levels[0].Geom, nil
+		return cfg.Levels[0].Geom, nil
 	default:
 		return cfg.DCache.Geom, nil
 	}
@@ -256,10 +236,10 @@ func pickBest(res []sim.Result) int {
 	return best
 }
 
-// SweepSpec identifies one profiling sweep — the unit a BestStatic or
-// BestDynamic call executes, and the unit plan-level batch scheduling
-// enqueues up front (see EnqueueSweeps). Base is the fully resolved
-// non-resizable baseline config (benchmark, engine, instruction budget,
+// SweepSpec identifies one profiling sweep — the unit a BestSpec call
+// executes, and the unit plan-level batch scheduling enqueues up front
+// (see EnqueueSweeps). Base is the fully resolved non-resizable
+// baseline config (benchmark, engine, instruction budget,
 // associativities, and any sensitivity overrides such as subarray or L2
 // geometry); the sweep derives its candidate configs from it
 // deterministically, so a spec built twice enumerates byte-identical
@@ -273,8 +253,10 @@ type SweepSpec struct {
 }
 
 // NewSweepSpec builds the spec for one (app, side, org, assoc) sweep
-// under opts — exactly the sweep BestStaticContext/BestDynamicContext
-// run for the same arguments.
+// under opts: the static sweep profiles every schedule point of the
+// organization (the paper's static strategy: run each offered size
+// offline, pick the minimum-EDP one); the dynamic sweep profiles the
+// miss-ratio controller's parameter grid.
 func NewSweepSpec(app string, side Side, org core.Organization, assoc int, dynamic bool, opts Options) SweepSpec {
 	return SweepSpec{App: app, Side: side, Org: org, Dynamic: dynamic,
 		Base: baseConfig(app, opts.Engine, opts.Instructions, assoc, assoc)}
@@ -348,21 +330,15 @@ func (s SweepSpec) sweep() (cfgs []sim.Config, describe func(bestIdx int) (strin
 	}, nil
 }
 
-// BestSpec profiles one sweep and returns its minimum-EDP winner versus
-// the baseline.
-func BestSpec(spec SweepSpec, opts Options) (Best, error) {
-	return BestSpecContext(context.Background(), spec, opts)
-}
-
-// BestSpecContext is the sweep core: it runs (or resolves) the spec's
-// batch and selects the winner. The whole sweep memoizes as one
-// artifact through the runner's artifact cache, keyed by the configs it
-// would run — so a repeated sweep (the same grid cell in a later
-// figure, or a resumed process with a persistent store) resolves
-// without submitting a single simulation, and a sweep enqueued up front
-// by a plan gathers by joining the in-flight work instead of fanning
-// out its own barrier.
-func BestSpecContext(ctx context.Context, spec SweepSpec, opts Options) (Best, error) {
+// BestSpec profiles one sweep on r and returns its minimum-EDP winner
+// versus the baseline: it runs (or resolves) the spec's batch and
+// selects the winner. The whole sweep memoizes as one artifact through
+// the runner's artifact cache, keyed by the configs it would run — so
+// a repeated sweep (the same grid cell in a later figure, or a resumed
+// process with a persistent store) resolves without submitting a
+// single simulation, and a sweep enqueued up front by a plan gathers by
+// joining the in-flight work instead of fanning out its own barrier.
+func BestSpec(ctx context.Context, r *runner.Runner, spec SweepSpec) (Best, error) {
 	if err := checkSweepSide(spec.Side); err != nil {
 		return Best{}, err
 	}
@@ -371,23 +347,20 @@ func BestSpecContext(ctx context.Context, spec SweepSpec, opts Options) (Best, e
 		return Best{}, err
 	}
 	keys := sim.Keys(cfgs)
-	return cachedBest(ctx, opts.runner(), sweepArtifactKey(spec.kind(), keys), func(ctx context.Context) (Best, error) {
+	return cachedBest(ctx, r, sweepArtifactKey(spec.kind(), keys), func(ctx context.Context) (Best, error) {
 		// Batch-enqueue the candidate set before gathering, so a solo
 		// sweep (a single Session.Simulate, cmd/respcache) coalesces its
 		// same-front candidates into gangs exactly like a plan's
 		// batched pass does — instead of fanning them out one Run at a
-		// time behind a barrier. Skipped when the caller bounds
-		// Parallelism, which Enqueue's pool-wide dispatch cannot honour.
-		if opts.Parallelism <= 0 {
-			enqCtx, stopEnqueue := context.WithCancel(ctx)
-			_, waitEnqueued := opts.runner().Enqueue(enqCtx, cfgs, keys)
-			defer func() {
-				// Abandon stragglers on error; see Enqueue's wait contract.
-				stopEnqueue()
-				waitEnqueued()
-			}()
-		}
-		res, err := opts.runAll(ctx, cfgs, keys)
+		// time behind a barrier.
+		enqCtx, stopEnqueue := context.WithCancel(ctx)
+		_, waitEnqueued := r.Enqueue(enqCtx, cfgs, keys)
+		defer func() {
+			// Abandon stragglers on error; see Enqueue's wait contract.
+			stopEnqueue()
+			waitEnqueued()
+		}()
+		res, err := r.RunAll(ctx, cfgs, keys)
 		if err != nil {
 			return Best{}, err
 		}
@@ -403,19 +376,18 @@ func BestSpecContext(ctx context.Context, spec SweepSpec, opts Options) (Best, e
 }
 
 // EnqueueSweeps submits the simulations of every cold sweep in specs to
-// the runner in one batched, non-blocking pass: sweeps whose artifact is
+// r in one batched, non-blocking pass: sweeps whose artifact is
 // already cached (either tier) are skipped outright, the rest have their
 // configs deduplicated by fingerprint (sweeps of one plan share
 // baselines) and handed to Runner.Enqueue in one call. The later
-// per-sweep gathers (BestSpecContext) then join the in-flight work
+// per-sweep gathers (BestSpec) then join the in-flight work
 // instead of each fanning out its own barrier, so a multi-scenario
 // plan's simulations interleave freely on the shared pool. Best-effort:
 // a spec whose schedule cannot be built is skipped here and surfaces its
 // error from the gather. Returns the number of configs enqueued and a
 // wait function with Runner.Enqueue's semantics (cancel ctx, then wait,
 // before flushing a store out from under abandoned stragglers).
-func EnqueueSweeps(ctx context.Context, specs []SweepSpec, opts Options) (int, func()) {
-	r := opts.runner()
+func EnqueueSweeps(ctx context.Context, r *runner.Runner, specs []SweepSpec) (int, func()) {
 	seen := make(map[sim.Key]bool)
 	var cfgs []sim.Config
 	var keys []sim.Key
@@ -443,18 +415,6 @@ func EnqueueSweeps(ctx context.Context, specs []SweepSpec, opts Options) (int, f
 		return 0, func() {}
 	}
 	return r.Enqueue(ctx, cfgs, keys)
-}
-
-// BestStatic profiles every schedule point of an organization (the
-// paper's static strategy: run each offered size offline, pick the
-// minimum-EDP one) and returns the winner for one application.
-func BestStatic(app string, side Side, org core.Organization, assoc int, opts Options) (Best, error) {
-	return BestStaticContext(context.Background(), app, side, org, assoc, opts)
-}
-
-// BestStaticContext is BestStatic with cancellation.
-func BestStaticContext(ctx context.Context, app string, side Side, org core.Organization, assoc int, opts Options) (Best, error) {
-	return BestSpecContext(ctx, NewSweepSpec(app, side, org, assoc, false, opts), opts)
 }
 
 // DynamicParams is one dynamic-controller parameterization.
@@ -510,45 +470,15 @@ func dynamicCandidates(sched core.Schedule, lowTraffic bool) []DynamicParams {
 	return out
 }
 
-// BestDynamic profiles the dynamic controller's parameter grid for one
-// application and returns the minimum-EDP parameterization.
-func BestDynamic(app string, side Side, org core.Organization, assoc int, opts Options) (Best, error) {
-	return BestDynamicContext(context.Background(), app, side, org, assoc, opts)
-}
-
-// BestDynamicContext is BestDynamic with cancellation.
-func BestDynamicContext(ctx context.Context, app string, side Side, org core.Organization, assoc int, opts Options) (Best, error) {
-	return BestSpecContext(ctx, NewSweepSpec(app, side, org, assoc, true, opts), opts)
-}
-
-// Combined runs one simulation with both L1s resizing at their
-// individually profiled configurations (the paper's Figure 9 protocol:
-// the additivity of d- and i-cache resizing lets each be profiled
-// alone). The returned Best compares against the shared non-resizable
-// baseline.
-func Combined(app string, org core.Organization, assoc int, dBest, iBest Best, opts Options) (Best, error) {
-	return CombinedContext(context.Background(), app, org, assoc, dBest, iBest, opts)
-}
-
-// CombinedContext is Combined with cancellation.
-func CombinedContext(ctx context.Context, app string, org core.Organization, assoc int, dBest, iBest Best, opts Options) (Best, error) {
-	return CombinedBestsContext(ctx,
-		baseConfig(app, opts.Engine, opts.Instructions, assoc, assoc),
-		[]Best{dBest, iBest}, opts)
-}
-
 // CombinedBests is the decoupled-profiling protocol generalized over
-// the hierarchy: one simulation with every profiled winner applied to
-// its side of base — any subset of {d-cache, i-cache, L2}. Each part
+// the hierarchy: one simulation on r with every profiled winner applied
+// to its side of base — any subset of {d-cache, i-cache, L2}. With the
+// two L1 winners it is the paper's Figure 9 protocol (the additivity of
+// d- and i-cache resizing lets each be profiled alone). Each part
 // carries its own side, organization, and policy from its sweep; the
 // returned Best compares against the parts' shared non-resizable
 // baseline.
-func CombinedBests(base sim.Config, parts []Best, opts Options) (Best, error) {
-	return CombinedBestsContext(context.Background(), base, parts, opts)
-}
-
-// CombinedBestsContext is CombinedBests with cancellation.
-func CombinedBestsContext(ctx context.Context, base sim.Config, parts []Best, opts Options) (Best, error) {
+func CombinedBests(ctx context.Context, r *runner.Runner, base sim.Config, parts []Best) (Best, error) {
 	if len(parts) == 0 {
 		return Best{}, fmt.Errorf("experiment: no profiled parts to combine")
 	}
@@ -564,7 +494,7 @@ func CombinedBestsContext(ctx context.Context, base sim.Config, parts []Best, op
 		descs = append(descs, p.Desc)
 		resized = append(resized, p.Side)
 	}
-	res, err := opts.runner().Run(ctx, cfg)
+	res, err := r.Run(ctx, cfg)
 	if err != nil {
 		return Best{}, err
 	}

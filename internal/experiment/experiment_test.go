@@ -8,10 +8,15 @@ import (
 	"testing"
 
 	"resizecache/internal/core"
-	"resizecache/internal/geometry"
 	"resizecache/internal/runner"
 	"resizecache/internal/sim"
 )
+
+// claimRunner is shared by the claim tests (the paper-claim assertions
+// over fastOpts and sensOpts sweeps), which profile overlapping cells:
+// sharing it lets a cell another claim test already profiled resolve
+// from memo. Tests that assert runner counters build their own runner.
+var claimRunner = runner.New(runner.Options{})
 
 // fastOpts trades fidelity for test speed; claim tests use tolerant
 // thresholds accordingly. Full-fidelity numbers come from cmd/figures.
@@ -24,9 +29,10 @@ func fastOpts() Options {
 	return o
 }
 
-func TestBestStaticPicksProfiledMinimum(t *testing.T) {
+func TestStaticSweepPicksProfiledMinimum(t *testing.T) {
 	opts := fastOpts()
-	best, err := BestStatic("m88ksim", DSide, core.SelectiveSets, 2, opts)
+	best, err := BestSpec(context.Background(), claimRunner,
+		NewSweepSpec("m88ksim", DSide, core.SelectiveSets, 2, false, opts))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +49,7 @@ func TestBestStaticPicksProfiledMinimum(t *testing.T) {
 }
 
 // TestSoloSweepGangsCandidates: a lone sweep (the sequential
-// Simulate/BestStatic path, no plan in sight) must still route its
+// Simulate/BestSpec path, no plan in sight) must still route its
 // candidates through the runner's batched Enqueue, so same-front
 // configs coalesce into gangs and the gather loop never pays a
 // fan-out barrier.
@@ -51,8 +57,8 @@ func TestSoloSweepGangsCandidates(t *testing.T) {
 	opts := DefaultOptions()
 	opts.Instructions = 60_000
 	r := runner.New(runner.Options{})
-	opts.Runner = r
-	if _, err := BestStatic("m88ksim", DSide, core.SelectiveSets, 2, opts); err != nil {
+	if _, err := BestSpec(context.Background(), r,
+		NewSweepSpec("m88ksim", DSide, core.SelectiveSets, 2, false, opts)); err != nil {
 		t.Fatal(err)
 	}
 	st := r.Stats()
@@ -70,7 +76,7 @@ func TestSoloSweepGangsCandidates(t *testing.T) {
 func TestSwimNeverDownsizes(t *testing.T) {
 	opts := fastOpts()
 	for _, org := range []core.Organization{core.SelectiveWays, core.SelectiveSets} {
-		best, err := BestStatic("swim", DSide, org, 4, opts)
+		best, err := BestSpec(context.Background(), claimRunner, NewSweepSpec("swim", DSide, org, 4, false, opts))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -85,11 +91,12 @@ func TestCompressFavorsWaysGranularity(t *testing.T) {
 	// compress's ~20K working set needs the 24K point only selective-ways
 	// offers at 4-way (paper §4.1).
 	opts := fastOpts()
-	w, err := BestStatic("compress", DSide, core.SelectiveWays, 4, opts)
+	ctx, r := context.Background(), claimRunner
+	w, err := BestSpec(ctx, r, NewSweepSpec("compress", DSide, core.SelectiveWays, 4, false, opts))
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := BestStatic("compress", DSide, core.SelectiveSets, 4, opts)
+	s, err := BestSpec(ctx, r, NewSweepSpec("compress", DSide, core.SelectiveSets, 4, false, opts))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,12 +115,13 @@ func TestConflictAppsFavorSets(t *testing.T) {
 	// su2cor here; our su2cor profile emphasizes its periodic phase
 	// behaviour (Fig. 7) instead — see EXPERIMENTS.md deviations.
 	opts := fastOpts()
+	ctx, r := context.Background(), claimRunner
 	for _, app := range []string{"apsi", "vpr", "tomcatv"} {
-		w, err := BestStatic(app, DSide, core.SelectiveWays, 4, opts)
+		w, err := BestSpec(ctx, r, NewSweepSpec(app, DSide, core.SelectiveWays, 4, false, opts))
 		if err != nil {
 			t.Fatal(err)
 		}
-		s, err := BestStatic(app, DSide, core.SelectiveSets, 4, opts)
+		s, err := BestSpec(ctx, r, NewSweepSpec(app, DSide, core.SelectiveSets, 4, false, opts))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -129,16 +137,17 @@ func TestCombinedResizingIsAdditive(t *testing.T) {
 		t.Skip("three-run experiment in -short mode")
 	}
 	opts := fastOpts()
+	ctx, r := context.Background(), claimRunner
 	app := "m88ksim"
-	dBest, err := BestStatic(app, DSide, core.SelectiveSets, 2, opts)
+	dBest, err := BestSpec(ctx, r, NewSweepSpec(app, DSide, core.SelectiveSets, 2, false, opts))
 	if err != nil {
 		t.Fatal(err)
 	}
-	iBest, err := BestStatic(app, ISide, core.SelectiveSets, 2, opts)
+	iBest, err := BestSpec(ctx, r, NewSweepSpec(app, ISide, core.SelectiveSets, 2, false, opts))
 	if err != nil {
 		t.Fatal(err)
 	}
-	both, err := Combined(app, core.SelectiveSets, 2, dBest, iBest, opts)
+	both, err := CombinedBests(ctx, r, BaseConfig(app, 2, opts), []Best{dBest, iBest})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +166,7 @@ func TestSlowdownEnvelopeHolds(t *testing.T) {
 	opts := fastOpts()
 	for _, app := range []string{"ammp", "compress", "gcc", "swim"} {
 		for _, org := range []core.Organization{core.SelectiveWays, core.SelectiveSets} {
-			best, err := BestStatic(app, DSide, org, 4, opts)
+			best, err := BestSpec(context.Background(), claimRunner, NewSweepSpec(app, DSide, org, 4, false, opts))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -171,20 +180,19 @@ func TestSlowdownEnvelopeHolds(t *testing.T) {
 func TestRunAllPropagatesErrors(t *testing.T) {
 	cfgs := []sim.Config{sim.Default("gcc"), sim.Default("nosuch")}
 	cfgs[0].Instructions = 1000
-	opts := DefaultOptions()
-	opts.Runner = runner.New(runner.Options{Workers: 2})
-	if _, err := opts.runAll(context.Background(), cfgs, sim.Keys(cfgs)); err == nil {
+	r := runner.New(runner.Options{Workers: 2})
+	if _, err := r.RunAll(context.Background(), cfgs, sim.Keys(cfgs)); err == nil {
 		t.Fatal("bad config did not surface")
 	}
 }
 
 func TestSweepsRejectBothSides(t *testing.T) {
 	opts := DefaultOptions()
-	if _, err := BestStatic("gcc", BothSides, core.SelectiveSets, 2, opts); err == nil {
-		t.Error("BestStatic accepted BothSides")
-	}
-	if _, err := BestDynamic("gcc", BothSides, core.SelectiveSets, 2, opts); err == nil {
-		t.Error("BestDynamic accepted BothSides")
+	ctx, r := context.Background(), runner.New(runner.Options{})
+	for _, dynamic := range []bool{false, true} {
+		if _, err := BestSpec(ctx, r, NewSweepSpec("gcc", BothSides, core.SelectiveSets, 2, dynamic, opts)); err == nil {
+			t.Errorf("BestSpec (dynamic=%v) accepted BothSides", dynamic)
+		}
 	}
 }
 
@@ -216,13 +224,12 @@ func TestDynamicCandidatesDeduplicated(t *testing.T) {
 	}
 }
 
-// tinyArtifactOpts runs one app at minimal fidelity on a private runner
-// — enough to exercise caching plumbing without a full-fidelity sweep.
+// tinyArtifactOpts runs one app at minimal fidelity — enough to
+// exercise caching plumbing without a full-fidelity sweep.
 func tinyArtifactOpts() Options {
 	opts := DefaultOptions()
 	opts.Instructions = 60_000
 	opts.Apps = []string{"m88ksim"}
-	opts.Runner = runner.New(runner.Options{})
 	return opts
 }
 
@@ -244,8 +251,8 @@ func TestCombinedUsesProfiledSpecs(t *testing.T) {
 		return Best{App: "m88ksim", Side: side, Org: core.SelectiveSets,
 			Spec: sim.PolicySpec{Kind: sim.PolicyStatic, StaticIndex: idx}}
 	}
-	comb, err := Combined("m88ksim", core.SelectiveSets, 2,
-		mkBest(DSide, dIdx), mkBest(ISide, iIdx), opts)
+	comb, err := CombinedBests(context.Background(), runner.New(runner.Options{}),
+		BaseConfig("m88ksim", 2, opts), []Best{mkBest(DSide, dIdx), mkBest(ISide, iIdx)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,13 +273,13 @@ func TestCombinedUsesProfiledSpecs(t *testing.T) {
 // must submit zero configs.
 func TestSweepArtifactWarmsAcrossDrivers(t *testing.T) {
 	opts := tinyArtifactOpts()
-	ctx := context.Background()
+	ctx, r := context.Background(), runner.New(runner.Options{})
 	grid := func(orgs ...core.Organization) {
 		t.Helper()
 		for _, side := range []Side{DSide, ISide} {
 			for _, org := range orgs {
 				for _, app := range opts.apps() {
-					if _, err := BestStaticContext(ctx, app, side, org, 2, opts); err != nil {
+					if _, err := BestSpec(ctx, r, NewSweepSpec(app, side, org, 2, false, opts)); err != nil {
 						t.Fatal(err)
 					}
 				}
@@ -280,7 +287,7 @@ func TestSweepArtifactWarmsAcrossDrivers(t *testing.T) {
 		}
 	}
 	grid(core.SelectiveWays, core.SelectiveSets) // Figure 4's cells
-	cold := opts.Runner.Stats()
+	cold := r.Stats()
 	if cold.ArtifactComputes != 4 { // 2 sides x 2 orgs x 1 app
 		t.Fatalf("cold grid computed %d artifacts, want 4", cold.ArtifactComputes)
 	}
@@ -289,7 +296,7 @@ func TestSweepArtifactWarmsAcrossDrivers(t *testing.T) {
 	}
 
 	grid(core.Hybrid, core.SelectiveWays, core.SelectiveSets) // Figure 6 repeats them
-	warm := opts.Runner.Stats()
+	warm := r.Stats()
 	if got := warm.ArtifactHits - cold.ArtifactHits; got != 4 {
 		t.Errorf("repeated cells scored %d artifact hits, want 4", got)
 	}
@@ -298,7 +305,7 @@ func TestSweepArtifactWarmsAcrossDrivers(t *testing.T) {
 	}
 
 	grid(core.SelectiveWays, core.SelectiveSets) // fully warm
-	again := opts.Runner.Stats()
+	again := r.Stats()
 	if again.Submitted != warm.Submitted || again.Runs != warm.Runs {
 		t.Errorf("fully warm grid submitted configs: %d -> %d submitted, %d -> %d runs",
 			warm.Submitted, again.Submitted, warm.Runs, again.Runs)
@@ -314,9 +321,8 @@ func TestSweepArtifactResumesFromStore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := tinyArtifactOpts()
-	opts.Runner = runner.New(runner.Options{Store: store})
-	first, err := BestStatic("m88ksim", DSide, core.SelectiveSets, 2, opts)
+	spec := NewSweepSpec("m88ksim", DSide, core.SelectiveSets, 2, false, tinyArtifactOpts())
+	first, err := BestSpec(context.Background(), runner.New(runner.Options{Store: store}), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -328,12 +334,12 @@ func TestSweepArtifactResumesFromStore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts.Runner = runner.New(runner.Options{Store: store2})
-	second, err := BestStatic("m88ksim", DSide, core.SelectiveSets, 2, opts)
+	r2 := runner.New(runner.Options{Store: store2})
+	second, err := BestSpec(context.Background(), r2, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := opts.Runner.Stats()
+	st := r2.Stats()
 	if st.ArtifactStoreHits != 1 || st.Submitted != 0 || st.Runs != 0 {
 		t.Errorf("resumed sweep stats = %+v, want 1 artifact store hit, 0 submitted, 0 runs", st)
 	}
@@ -422,53 +428,27 @@ func TestBestAccessorsOnSides(t *testing.T) {
 	_ = b.SizeReductionPct()
 }
 
-// TestBestSpecMatchesBestStatic guards the SweepSpec refactor: the spec
-// path must enumerate the identical sweep (same artifact fingerprint,
-// same winner) as the classic entry points.
-func TestBestSpecMatchesBestStatic(t *testing.T) {
-	opts := tinyArtifactOpts()
-	direct, err := BestStatic("m88ksim", DSide, core.SelectiveSets, 2, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Same sweep through the spec on the same runner: a pure artifact
-	// hit, zero submissions.
-	before := opts.Runner.Stats()
-	spec := NewSweepSpec("m88ksim", DSide, core.SelectiveSets, 2, false, opts)
-	viaSpec, err := BestSpec(spec, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := opts.Runner.Stats()
-	if st.Submitted != before.Submitted || st.ArtifactHits != before.ArtifactHits+1 {
-		t.Errorf("spec path did not hit the sweep artifact: %+v -> %+v", before, st)
-	}
-	if !reflect.DeepEqual(direct, viaSpec) {
-		t.Errorf("spec winner differs:\ndirect: %+v\nspec:   %+v", direct, viaSpec)
-	}
-}
-
 // TestEnqueueSweepsBatchesColdAndSkipsWarm: the plan-level batch pass
 // must enqueue every distinct config of cold sweeps in one runner pass
 // (shared baselines deduplicated), let gathers join with zero fan-out
 // barriers, and enqueue nothing once the sweeps' artifacts are warm.
 func TestEnqueueSweepsBatchesColdAndSkipsWarm(t *testing.T) {
 	opts := tinyArtifactOpts()
-	ctx := context.Background()
+	ctx, r := context.Background(), runner.New(runner.Options{})
 	specs := []SweepSpec{
 		NewSweepSpec("m88ksim", DSide, core.SelectiveSets, 2, false, opts),
 		NewSweepSpec("m88ksim", ISide, core.SelectiveSets, 2, false, opts),
 	}
-	n, _ := EnqueueSweeps(ctx, specs, opts)
+	n, _ := EnqueueSweeps(ctx, r, specs)
 	if n == 0 {
 		t.Fatal("cold sweeps enqueued nothing")
 	}
 	for _, spec := range specs {
-		if _, err := BestSpecContext(ctx, spec, opts); err != nil {
+		if _, err := BestSpec(ctx, r, spec); err != nil {
 			t.Fatal(err)
 		}
 	}
-	st := opts.Runner.Stats()
+	st := r.Stats()
 	if st.EnqueueBatches != 1 || st.Enqueued != uint64(n) {
 		t.Errorf("enqueue stats = %+v, want one pass of %d configs", st, n)
 	}
@@ -479,10 +459,10 @@ func TestEnqueueSweepsBatchesColdAndSkipsWarm(t *testing.T) {
 		t.Errorf("ran %d configs, want the %d enqueued (dedup broken?)", st.Runs, n)
 	}
 	// Warm: artifacts exist, so the batch pass skips everything.
-	if again, _ := EnqueueSweeps(ctx, specs, opts); again != 0 {
+	if again, _ := EnqueueSweeps(ctx, r, specs); again != 0 {
 		t.Errorf("warm sweeps enqueued %d configs, want 0", again)
 	}
-	if st := opts.Runner.Stats(); st.EnqueueBatches != 1 {
+	if st := r.Stats(); st.EnqueueBatches != 1 {
 		t.Errorf("warm pass still called Enqueue: %+v", st)
 	}
 }
@@ -493,10 +473,10 @@ func TestEnqueueSweepsBatchesColdAndSkipsWarm(t *testing.T) {
 func TestL2SideSweep(t *testing.T) {
 	opts := DefaultOptions()
 	opts.Instructions = 150_000
-	opts.Runner = runner.New(runner.Options{})
+	ctx, r := context.Background(), runner.New(runner.Options{})
 	base := BaseConfig("m88ksim", 2, opts)
-	best, err := BestSpec(SweepSpec{App: "m88ksim", Side: L2Side,
-		Org: core.SelectiveWays, Base: base}, opts)
+	best, err := BestSpec(ctx, r, SweepSpec{App: "m88ksim", Side: L2Side,
+		Org: core.SelectiveWays, Base: base})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -516,9 +496,8 @@ func TestL2SideSweep(t *testing.T) {
 
 	flat := base
 	flat.Levels = nil
-	flat.L2Geom = geometry.Geometry{}
-	if _, err := BestSpec(SweepSpec{App: "m88ksim", Side: L2Side,
-		Org: core.SelectiveWays, Base: flat}, opts); err == nil {
+	if _, err := BestSpec(ctx, r, SweepSpec{App: "m88ksim", Side: L2Side,
+		Org: core.SelectiveWays, Base: flat}); err == nil {
 		t.Error("L2 sweep over an empty hierarchy accepted")
 	}
 }
@@ -528,19 +507,19 @@ func TestL2SideSweep(t *testing.T) {
 func TestCombinedBestsAppliesEverySide(t *testing.T) {
 	opts := DefaultOptions()
 	opts.Instructions = 150_000
-	opts.Runner = runner.New(runner.Options{})
+	ctx, r := context.Background(), runner.New(runner.Options{})
 	base := BaseConfig("m88ksim", 2, opts)
-	d, err := BestSpec(SweepSpec{App: "m88ksim", Side: DSide,
-		Org: core.SelectiveSets, Base: base}, opts)
+	d, err := BestSpec(ctx, r, SweepSpec{App: "m88ksim", Side: DSide,
+		Org: core.SelectiveSets, Base: base})
 	if err != nil {
 		t.Fatal(err)
 	}
-	l2, err := BestSpec(SweepSpec{App: "m88ksim", Side: L2Side,
-		Org: core.SelectiveWays, Base: base}, opts)
+	l2, err := BestSpec(ctx, r, SweepSpec{App: "m88ksim", Side: L2Side,
+		Org: core.SelectiveWays, Base: base})
 	if err != nil {
 		t.Fatal(err)
 	}
-	comb, err := CombinedBests(base, []Best{d, l2}, opts)
+	comb, err := CombinedBests(ctx, r, base, []Best{d, l2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -559,7 +538,7 @@ func TestCombinedBestsAppliesEverySide(t *testing.T) {
 	if got := comb.SizeReductionPct(); got <= 50 {
 		t.Errorf("combined size reduction %.1f%% ignores the resized L2", got)
 	}
-	if _, err := CombinedBests(base, nil, opts); err == nil {
+	if _, err := CombinedBests(ctx, r, base, nil); err == nil {
 		t.Error("empty parts accepted")
 	}
 }
@@ -612,7 +591,6 @@ func TestSweepSpecArtifactKey(t *testing.T) {
 	}
 	bad := l2
 	bad.Base.Levels = nil
-	bad.Base.L2Geom = geometry.Geometry{}
 	if _, err := bad.ArtifactKey(); err == nil {
 		t.Error("L2 sweep over an empty hierarchy produced a key")
 	}

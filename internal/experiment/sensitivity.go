@@ -7,6 +7,7 @@ import (
 
 	"resizecache/internal/core"
 	"resizecache/internal/geometry"
+	"resizecache/internal/runner"
 	"resizecache/internal/sim"
 )
 
@@ -31,12 +32,7 @@ type SensitivityRow struct {
 // 32K 2-way selective-sets d-cache. Smaller subarrays offer smaller
 // minimum sizes (512B subarray -> 1K minimum at 2-way), larger ones
 // coarser schedules.
-func SubarraySensitivity(opts Options) ([]SensitivityRow, error) {
-	return SubarraySensitivityContext(context.Background(), opts)
-}
-
-// SubarraySensitivityContext is SubarraySensitivity with cancellation.
-func SubarraySensitivityContext(ctx context.Context, opts Options) ([]SensitivityRow, error) {
+func SubarraySensitivity(ctx context.Context, r *runner.Runner, opts Options) ([]SensitivityRow, error) {
 	apps := opts.apps()
 	type point struct {
 		label string
@@ -68,13 +64,13 @@ func SubarraySensitivityContext(ctx context.Context, opts Options) ([]Sensitivit
 	// cancel and drain the stragglers so a caller flushing a store right
 	// after cannot race their result writes.
 	enqCtx, stopEnqueue := context.WithCancel(ctx)
-	_, wait := EnqueueSweeps(enqCtx, all, opts)
+	_, wait := EnqueueSweeps(enqCtx, r, all)
 	defer func() { stopEnqueue(); wait() }()
 	var out []SensitivityRow
 	for _, p := range points {
 		var edp, size float64
 		for _, spec := range p.specs {
-			best, err := BestSpecContext(ctx, spec, opts)
+			best, err := BestSpec(ctx, r, spec)
 			if err != nil {
 				return nil, err
 			}
@@ -91,12 +87,7 @@ func SubarraySensitivityContext(ctx context.Context, opts Options) ([]Sensitivit
 // IntervalSensitivity sweeps the dynamic controller's interval for a
 // fixed miss-bound fraction and size bound, on the in-order engine where
 // adaptation lag is most exposed.
-func IntervalSensitivity(opts Options) ([]SensitivityRow, error) {
-	return IntervalSensitivityContext(context.Background(), opts)
-}
-
-// IntervalSensitivityContext is IntervalSensitivity with cancellation.
-func IntervalSensitivityContext(ctx context.Context, opts Options) ([]SensitivityRow, error) {
+func IntervalSensitivity(ctx context.Context, r *runner.Runner, opts Options) ([]SensitivityRow, error) {
 	opts.Engine = sim.InOrder
 	apps := opts.apps()
 	intervals := []uint64{2048, 8192, 32768, 131072}
@@ -120,14 +111,14 @@ func IntervalSensitivityContext(ctx context.Context, opts Options) ([]Sensitivit
 		}
 	}
 	enqCtx, stopEnqueue := context.WithCancel(ctx)
-	_, wait := opts.runner().Enqueue(enqCtx, batch, sim.Keys(batch))
+	_, wait := r.Enqueue(enqCtx, batch, sim.Keys(batch))
 	defer func() { stopEnqueue(); wait() }()
 	var out []SensitivityRow
 	for _, interval := range intervals {
 		var edp, size float64
 		for _, app := range apps {
 			p := pair(interval, app)
-			res, err := opts.runAll(ctx, p[:], sim.Keys(p[:]))
+			res, err := r.RunAll(ctx, p[:], sim.Keys(p[:]))
 			if err != nil {
 				return nil, err
 			}
@@ -147,12 +138,7 @@ func IntervalSensitivityContext(ctx context.Context, opts Options) ([]Sensitivit
 // L2Sensitivity sweeps the L2 capacity to test the paper's claim that L1
 // resizing has minimal impact on the L2 footprint: the resizing gain
 // should be stable across L2 sizes.
-func L2Sensitivity(opts Options) ([]SensitivityRow, error) {
-	return L2SensitivityContext(context.Background(), opts)
-}
-
-// L2SensitivityContext is L2Sensitivity with cancellation.
-func L2SensitivityContext(ctx context.Context, opts Options) ([]SensitivityRow, error) {
+func L2Sensitivity(ctx context.Context, r *runner.Runner, opts Options) ([]SensitivityRow, error) {
 	apps := opts.apps()
 	type point struct {
 		label string
@@ -178,13 +164,13 @@ func L2SensitivityContext(ctx context.Context, opts Options) ([]SensitivityRow, 
 	// One batched pass over the whole grid, drained on early error like
 	// SubarraySensitivity's.
 	enqCtx, stopEnqueue := context.WithCancel(ctx)
-	_, wait := EnqueueSweeps(enqCtx, all, opts)
+	_, wait := EnqueueSweeps(enqCtx, r, all)
 	defer func() { stopEnqueue(); wait() }()
 	var out []SensitivityRow
 	for _, p := range points {
 		var edp, size float64
 		for _, spec := range p.specs {
-			best, err := BestSpecContext(ctx, spec, opts)
+			best, err := BestSpec(ctx, r, spec)
 			if err != nil {
 				return nil, err
 			}

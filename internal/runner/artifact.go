@@ -8,7 +8,7 @@ import (
 
 // The sweep-artifact cache: figure drivers repeat whole profiling
 // sweeps, not just individual configs — Figures 5, 6, 8 and 9 all
-// re-derive BestStatic/BestDynamic grids the previous figure already
+// re-derive static/dynamic profiling grids the previous figure already
 // selected. Artifact memoizes the *outcome of a sweep* (an opaque
 // serialized payload, typically a winner selection) under a
 // content-addressed fingerprint, so a warm sweep resolves without

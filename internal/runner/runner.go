@@ -2,9 +2,9 @@
 // the repository executes through a Runner, which owns the worker pool
 // and a content-addressed result store keyed by sim.Config fingerprints
 // (sim.Key). The paper's evaluation is a design-space sweep that
-// re-visits many identical configurations — every BestStatic/BestDynamic
-// call re-runs the non-resizable baseline, and figure drivers repeat
-// whole sweeps — so the Runner:
+// re-visits many identical configurations — every profiling sweep
+// re-runs the non-resizable baseline, and figure drivers repeat whole
+// sweeps — so the Runner:
 //
 //   - memoizes completed results, so an identical config simulates once
 //     per process (or once ever, with a persistent store);
@@ -24,9 +24,9 @@
 //     calls join the in-flight work instead of fanning out their own
 //     per-sweep barrier, and the pool interleaves across sweeps.
 //
-// Callers either share the process-wide Default() runner (cross-sweep
-// memoization for free) or construct private runners (hermetic sessions,
-// tests, persistent stores).
+// There is no process-wide runner: every caller constructs one with New
+// and passes it explicitly, so sweeps memoize against each other exactly
+// when they share a Runner (a Session, a daemon, a test).
 package runner
 
 import (
@@ -315,18 +315,6 @@ func New(opts Options) *Runner {
 	return r
 }
 
-var (
-	defaultOnce   sync.Once
-	defaultRunner *Runner
-)
-
-// Default returns the process-wide shared Runner (GOMAXPROCS workers, no
-// persistent store). Sweeps that share it memoize across each other.
-func Default() *Runner {
-	defaultOnce.Do(func() { defaultRunner = New(Options{}) })
-	return defaultRunner
-}
-
 // Stats snapshots the counters. When the store is a remote tier
 // (RemoteCounter), its hit/error counts are folded in, as are breaker
 // trips when it guards itself with a circuit breaker (BreakerCounter).
@@ -476,8 +464,8 @@ func (r *Runner) execute(ctx context.Context, key sim.Key, e *entry, cfg sim.Con
 // and persistent store exactly as if Run had been called; cancelling
 // ctx abandons work that has not started, leaving those fingerprints
 // retryable. keys[i] must be cfgs[i].Key(): batch callers fingerprint
-// once and share the keys with RunAllLimit. Returns the number of
-// configs actually enqueued.
+// once and share the keys with RunAll. Returns the number of configs
+// actually enqueued.
 //
 // Enqueue is the batch-scheduling primitive behind plan execution: a
 // multi-sweep plan enqueues every profiling simulation in one pass, so
@@ -667,18 +655,12 @@ func isCancellation(err error) bool {
 	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
-// RunAll executes a batch and returns results in submission order. The
-// first failing config (by submission index) determines the returned
-// error. Concurrency is bounded by the Runner's shared worker pool.
-func (r *Runner) RunAll(ctx context.Context, cfgs []sim.Config) ([]sim.Result, error) {
-	return r.RunAllLimit(ctx, cfgs, sim.Keys(cfgs), 0)
-}
-
-// RunAllLimit is RunAll over precomputed fingerprints (keys[i] must be
-// cfgs[i].Key()) with an additional per-batch concurrency bound (<= 0
-// means no extra bound beyond the shared pool). Sweeps use it to honour
-// a caller-requested parallelism below the pool size.
-func (r *Runner) RunAllLimit(ctx context.Context, cfgs []sim.Config, keys []sim.Key, limit int) ([]sim.Result, error) {
+// RunAll executes a batch over precomputed fingerprints (keys[i] must
+// be cfgs[i].Key(), e.g. from sim.Keys) and returns results in
+// submission order. The first failing config (by submission index)
+// determines the returned error. Concurrency is bounded by the Runner's
+// shared worker pool.
+func (r *Runner) RunAll(ctx context.Context, cfgs []sim.Config, keys []sim.Key) ([]sim.Result, error) {
 	mustMatch(cfgs, keys)
 	// A batch that must submit work not already in flight or memoized is
 	// a fan-out barrier: the caller blocks until its own submissions
@@ -701,19 +683,11 @@ func (r *Runner) RunAllLimit(ctx context.Context, cfgs []sim.Config, keys []sim.
 
 	results := make([]sim.Result, len(cfgs))
 	errs := make([]error, len(cfgs))
-	var gate chan struct{}
-	if limit > 0 {
-		gate = make(chan struct{}, limit)
-	}
 	var wg sync.WaitGroup
 	for i := range cfgs {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			if gate != nil {
-				gate <- struct{}{}
-				defer func() { <-gate }()
-			}
 			results[i], errs[i] = r.run(ctx, keys[i], cfgs[i])
 		}(i)
 	}

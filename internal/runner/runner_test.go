@@ -22,6 +22,11 @@ func cfgN(i int) sim.Config {
 	return c
 }
 
+// runAll is Runner.RunAll over freshly computed fingerprints.
+func runAll(ctx context.Context, r *Runner, cfgs []sim.Config) ([]sim.Result, error) {
+	return r.RunAll(ctx, cfgs, sim.Keys(cfgs))
+}
+
 // stubResult returns a recognizable result for a config.
 func stubResult(cfg sim.Config) sim.Result {
 	var r sim.Result
@@ -66,7 +71,7 @@ func TestRunAllDeterministicOrderAndBaselineDedup(t *testing.T) {
 	// A sweep-shaped batch: baseline duplicated at both ends plus three
 	// distinct candidates.
 	cfgs := []sim.Config{cfgN(0), cfgN(1), cfgN(2), cfgN(3), cfgN(0)}
-	res, err := r.RunAll(context.Background(), cfgs)
+	res, err := runAll(context.Background(), r, cfgs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +168,7 @@ func TestContextCancellationMidSweep(t *testing.T) {
 	}
 	done := make(chan error, 1)
 	go func() {
-		_, err := r.RunAll(ctx, cfgs)
+		_, err := runAll(ctx, r, cfgs)
 		done <- err
 	}()
 	<-started // first simulation occupies the single worker
@@ -206,32 +211,6 @@ func TestCancelledEntryRetriesOnLiveContext(t *testing.T) {
 	}
 }
 
-func TestRunAllLimitBoundsConcurrency(t *testing.T) {
-	var inFlight, peak atomic.Int32
-	r := New(Options{Workers: 8, RunSim: func(cfg sim.Config) (sim.Result, error) {
-		n := inFlight.Add(1)
-		for {
-			p := peak.Load()
-			if n <= p || peak.CompareAndSwap(p, n) {
-				break
-			}
-		}
-		time.Sleep(2 * time.Millisecond)
-		inFlight.Add(-1)
-		return stubResult(cfg), nil
-	}})
-	var cfgs []sim.Config
-	for i := 0; i < 12; i++ {
-		cfgs = append(cfgs, cfgN(i))
-	}
-	if _, err := r.RunAllLimit(context.Background(), cfgs, sim.Keys(cfgs), 2); err != nil {
-		t.Fatal(err)
-	}
-	if p := peak.Load(); p > 2 {
-		t.Errorf("peak concurrency %d exceeds limit 2", p)
-	}
-}
-
 func TestDiskStoreRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "results.json")
 	var calls atomic.Int32
@@ -245,7 +224,7 @@ func TestDiskStoreRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	r1 := New(Options{Workers: 2, Store: store, RunSim: runSim})
-	if _, err := r1.RunAll(context.Background(), []sim.Config{cfgN(0), cfgN(1)}); err != nil {
+	if _, err := runAll(context.Background(), r1, []sim.Config{cfgN(0), cfgN(1)}); err != nil {
 		t.Fatal(err)
 	}
 	if err := store.Flush(); err != nil {
@@ -623,7 +602,7 @@ func TestEnqueueRegistersSynchronouslyAndJoins(t *testing.T) {
 	// barrier, no extra simulations.
 	done := make(chan error, 1)
 	go func() {
-		_, err := r.RunAll(context.Background(), cfgs)
+		_, err := runAll(context.Background(), r, cfgs)
 		done <- err
 	}()
 	close(release)
@@ -651,21 +630,21 @@ func TestRunAllCountsBarrierOnFreshWork(t *testing.T) {
 		return stubResult(cfg), nil
 	}})
 	ctx := context.Background()
-	if _, err := r.RunAll(ctx, []sim.Config{cfgN(0), cfgN(1)}); err != nil {
+	if _, err := runAll(ctx, r, []sim.Config{cfgN(0), cfgN(1)}); err != nil {
 		t.Fatal(err)
 	}
 	if st := r.Stats(); st.Barriers != 1 {
 		t.Fatalf("cold batch counted %d barriers, want 1", st.Barriers)
 	}
 	// The same batch again is fully memoized: no fan-out, no barrier.
-	if _, err := r.RunAll(ctx, []sim.Config{cfgN(0), cfgN(1)}); err != nil {
+	if _, err := runAll(ctx, r, []sim.Config{cfgN(0), cfgN(1)}); err != nil {
 		t.Fatal(err)
 	}
 	if st := r.Stats(); st.Barriers != 1 {
 		t.Errorf("warm batch counted a barrier: %+v", st)
 	}
 	// One new config makes the batch fresh again.
-	if _, err := r.RunAll(ctx, []sim.Config{cfgN(0), cfgN(2)}); err != nil {
+	if _, err := runAll(ctx, r, []sim.Config{cfgN(0), cfgN(2)}); err != nil {
 		t.Fatal(err)
 	}
 	if st := r.Stats(); st.Barriers != 2 {

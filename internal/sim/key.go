@@ -5,8 +5,6 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"math"
-
-	"resizecache/internal/geometry"
 )
 
 // Key is a content-addressed fingerprint of a Config: two Configs that
@@ -28,8 +26,10 @@ func (k Key) String() string { return hex.EncodeToString(k[:]) }
 // encoded a bare L2 geometry, so v1 stores invalidate cleanly — their
 // keys can never alias a v2 config. Version 3 added the sampling spec
 // (warmup/detailed/fast-forward instruction counts) to both Key and
-// FrontKey for the interval-sampled execution mode.
-const keyVersion = 3
+// FrontKey for the interval-sampled execution mode. Version 4 dropped
+// the deprecated single-level L2 geometry field and its four-word slot:
+// the hierarchy is Levels alone.
+const keyVersion = 4
 
 // Canonical returns the config with semantically inert fields zeroed
 // and the hierarchy in normal form, so that configs describing
@@ -40,8 +40,7 @@ const keyVersion = 3
 //     every level of the hierarchy;
 //   - d-cache MSHRs under the in-order engine, which forces a blocking
 //     d-cache regardless of the configured entry count;
-//   - the deprecated L2Geom, folded into its equivalent one-level
-//     Levels spec (see Hierarchy), so both spellings share a key.
+//   - an empty hierarchy, spelled nil.
 //
 // Run never inspects the zeroed fields, so Canonical is behaviour
 // preserving by construction.
@@ -51,24 +50,15 @@ func (c Config) Canonical() Config {
 	if c.Engine == InOrder {
 		c.MSHREntries = 0
 	}
-	// A config that sets both Levels and L2Geom is invalid (Run rejects
-	// it); keep the conflicting L2Geom so its fingerprint can never
-	// alias the valid Levels-only config — otherwise a warm memo/store
-	// would serve the valid config's result where the cold path errors.
-	conflict := len(c.Levels) > 0 && c.L2Geom != (geometry.Geometry{})
-	levels := c.Hierarchy()
-	if len(levels) > 0 {
-		canon := make([]LevelSpec, len(levels))
-		for i, l := range levels {
+	if len(c.Levels) > 0 {
+		canon := make([]LevelSpec, len(c.Levels))
+		for i, l := range c.Levels {
 			l.Policy = l.Policy.canonical()
 			canon[i] = l
 		}
 		c.Levels = canon
 	} else {
 		c.Levels = nil
-	}
-	if !conflict {
-		c.L2Geom = geometry.Geometry{}
 	}
 	return c
 }
@@ -102,25 +92,16 @@ func (c Config) Key() Key {
 	w.i(c.CPU.LSQEntries)
 	w.u64(c.CPU.DecodeLatency)
 	w.u64(c.CPU.MispredictPenalty)
-	// L1s and the shared hierarchy (Hierarchy folds a lone L2Geom in).
+	// L1s and the shared hierarchy.
 	w.cacheSpec(c.DCache)
 	w.cacheSpec(c.ICache)
-	levels := c.Hierarchy()
-	w.i(len(levels))
-	for _, l := range levels {
+	w.i(len(c.Levels))
+	for _, l := range c.Levels {
 		w.cacheSpec(l.CacheSpec)
 		w.u64(uint64(l.Precharge))
 		w.i(l.MSHREntries)
 		w.i(l.WritebackEntries)
 	}
-	// All zeros for every valid config; non-zero only for the invalid
-	// Levels+L2Geom conflict, whose cold-path error must memoize under
-	// its own key (see Canonical).
-	l2 := c.L2Geom
-	if len(c.Levels) == 0 {
-		l2 = geometry.Geometry{}
-	}
-	w.geometry(l2.SizeBytes, l2.Assoc, l2.BlockBytes, l2.SubarrayBytes)
 	mshrs := c.MSHREntries
 	if c.Engine == InOrder {
 		mshrs = 0
@@ -129,7 +110,7 @@ func (c Config) Key() Key {
 	w.i(c.WritebackEntries)
 	// Sampled execution (all zero for fully detailed runs; a partial spec
 	// is invalid but keeps its own fingerprint so the cold-path error
-	// memoizes under its own key, like the Levels+L2Geom conflict).
+	// memoizes under its own key).
 	w.u64(c.Sampling.WarmupInstructions)
 	w.u64(c.Sampling.DetailedInstructions)
 	w.u64(c.Sampling.FastForwardInstructions)

@@ -42,17 +42,17 @@ func pinConfigs() map[string]Config {
 	}
 }
 
-// TestKeyEncodingPinned asserts literal fingerprints recorded before
-// the key encoder was last rewritten. Persisted stores are indexed by
-// these hex strings, so an encoder refactor that changes any byte of the
-// stream orphans every store on disk; a deliberate encoding change must
-// bump keyVersion and re-record the table.
+// TestKeyEncodingPinned asserts literal fingerprints recorded when
+// keyVersion 4 was introduced. Persisted stores are indexed by these hex
+// strings, so an encoder refactor that changes any byte of the stream
+// orphans every store on disk; a deliberate encoding change must bump
+// keyVersion and re-record the table.
 func TestKeyEncodingPinned(t *testing.T) {
 	want := map[string]struct{ key, front, builder string }{
-		"default":   {"038f2d6d7a995f69b5473ec7187d415a94d82db65749b121a90b0d5d30bbfd8b", "e37d999078761b37b7a416a4f50ac2f71a6e89a0a0ab3f5908f2836648095cd5", "3e601fb7f6a9799a3e3a8a892f970d3a79abd7085110e1f93bb653735a65d76b"},
-		"sampled":   {"013d14501d32b479a51fe1bc49852866d9f58bd8be97f10ce29be30cc1756f60", "2558c41fd5329889c0fe2053a9c200bac3b33ddc896bb8f4da601025360d138e", "ddfb86ce50aee7be602cd67b2f5ac95f3b0f66235f1b0835fe71522ab38652a0"},
-		"dynamic":   {"cc093fb85aa73df9f7a0af83642fe9ae61c040298d5dfba32f971d7a450a9a16", "744de70d957cfa2b63b308e5398fb19d47d9fd210e85376f50c588b6233f7c98", "ea3690ddebe41051e886c8aa4f4001a520a9d7b2f95f44e0c6e971616a013822"},
-		"two-level": {"37191b653f764cfabca6a946bc0f5d1c2bed3962924a2e578e224360b27bf2af", "e37d999078761b37b7a416a4f50ac2f71a6e89a0a0ab3f5908f2836648095cd5", "e0684413ced1b42ef7c61bf1c5dc94cfe29493c13e4bd959727619ad95940ad5"},
+		"default":   {"f6c4a0f8d2c5c726f32d96389df8e4f94459b645313d50fc9ba05a8127e9f1f0", "116b08b5c4d71a50ed3164857a4778ff2dc28f063cd19f617f219de828ab6382", "f4ca6fc21e7f76818a44c3240055a7e4a2ba6e1048f878fbd7edb2d6fc4de6d0"},
+		"sampled":   {"8670dc2de03ebf99abd533da757f5b1da6a82b7e3fcc5752f26450433c79f873", "eb877560863f203c3e76b0c9ab4a827a23665cff84d70b606ae84bb3bd68b4a8", "bc4a84c27ee26e5ed188367e333a46a13b12bf53745d5b24d71c2f49e336f9a8"},
+		"dynamic":   {"e40e4bb9f61070d7aad5048e22526856d4790df2baebc9fcea95b759c97515b7", "7e91d82849d2e31d5dd79abdd83e5239a74038e5317d534a5c1ecdf1036f33e6", "a304649b1cd3692cceb28490ed6859854ea9ca001e9622cf2047113947f53c30"},
+		"two-level": {"cef87c7af12845905b6863e12aa73f3985a4f4cbbe89350b76fc029c8d620eb4", "116b08b5c4d71a50ed3164857a4778ff2dc28f063cd19f617f219de828ab6382", "7f5798f44f059a468e991798b8b0ee0f2c8bc1bf7d7b2bae2dd189b4e0f66321"},
 	}
 	cfgs := pinConfigs()
 	for name, w := range want {
@@ -77,15 +77,15 @@ func TestKeyEncodingPinned(t *testing.T) {
 		c.Instructions = uint64(i + 1)
 		b.Int(i).RawKey(c.Key())
 	}
-	if got, want := b.Sum().String(), "334fb21c333e43e88ceb3b17d5245116e201636aaabd58aba04b216a618cf370"; got != want {
+	if got, want := b.Sum().String(), "442d4cdae575dbd95d85d6d185a5fc820199901df19783edea1ad392570d0444"; got != want {
 		t.Errorf("spilled KeyBuilder = %s, want %s", got, want)
 	}
 }
 
 // TestKeyMatchesCanonical: Key normalizes as it encodes instead of
 // calling Canonical, so the two must agree on every spelling Canonical
-// rewrites: inert policy knobs, in-order MSHRs, the legacy L2Geom and
-// the invalid Levels+L2Geom conflict.
+// rewrites: inert policy knobs, in-order MSHRs and an empty (non-nil)
+// hierarchy.
 func TestKeyMatchesCanonical(t *testing.T) {
 	cfgs := pinConfigs()
 	knobs := Default("gcc")
@@ -95,12 +95,9 @@ func TestKeyMatchesCanonical(t *testing.T) {
 	knobs.ICache.Policy = PolicySpec{Kind: PolicyDynamic, StaticIndex: 3, Interval: 4096, MissBound: 8}
 	mutateL2(&knobs, func(l *LevelSpec) { l.Policy = PolicySpec{StaticIndex: 2, MissBound: 9} })
 	cfgs["knobs"] = knobs
-	legacy := Default("gcc")
-	legacy.L2Geom, legacy.Levels = legacy.Levels[0].Geom, nil
-	cfgs["legacy"] = legacy
-	conflict := Default("gcc")
-	conflict.L2Geom = conflict.Levels[0].Geom
-	cfgs["conflict"] = conflict
+	empty := Default("gcc")
+	empty.Levels = []LevelSpec{}
+	cfgs["empty hierarchy"] = empty
 	for name, c := range cfgs {
 		if c.Key() != c.Canonical().Key() {
 			t.Errorf("%s: Key differs from the key of its Canonical form", name)

@@ -39,7 +39,7 @@ func TestKeyVersionPinnedToFieldSet(t *testing.T) {
 // mutateL2 clones the hierarchy (the Levels backing array is shared
 // between config copies) and applies fn to the outermost level.
 func mutateL2(c *Config, fn func(*LevelSpec)) {
-	c.Levels = append([]LevelSpec(nil), c.Hierarchy()...)
+	c.Levels = append([]LevelSpec(nil), c.Levels...)
 	fn(&c.Levels[0])
 }
 
@@ -114,19 +114,12 @@ func TestKeyDistinguishesConfigs(t *testing.T) {
 	}
 }
 
-// TestKeyHierarchySpellings: the deprecated L2Geom and its equivalent
-// one-level Levels spec describe the same simulation and must share a
-// fingerprint; materially different hierarchies must not.
+// TestKeyHierarchySpellings: spellings of one hierarchy (zero-valued
+// level knobs set explicitly, nil vs empty Levels) share a fingerprint;
+// materially different hierarchies must not.
 func TestKeyHierarchySpellings(t *testing.T) {
-	legacy := Default("gcc")
-	l2 := legacy.Hierarchy()[0].Geom
-	legacy.Levels = nil
-	legacy.L2Geom = l2
-
 	modern := Default("gcc")
-	if legacy.Key() != modern.Key() {
-		t.Error("L2Geom spelling and its Levels equivalent fingerprint differently")
-	}
+	l2 := modern.Levels[0].Geom
 
 	// A zero-value LevelSpec knob set explicitly is still the same level.
 	explicit := Default("gcc")
@@ -145,31 +138,30 @@ func TestKeyHierarchySpellings(t *testing.T) {
 		t.Error("adding an L3 did not move the fingerprint")
 	}
 
-	// The invalid both-set conflict (Run rejects it) must not alias the
-	// valid Levels-only config: a warm memo/store would otherwise serve
-	// a result where the cold path errors.
-	conflict := Default("gcc")
-	conflict.L2Geom = conflict.Hierarchy()[0].Geom
-	if _, err := Run(conflict); err == nil {
-		t.Error("both-set config accepted by Run")
+	flat, empty := Default("gcc"), Default("gcc")
+	flat.Levels, empty.Levels = nil, []LevelSpec{}
+	if flat.Key() != empty.Key() {
+		t.Error("nil and empty hierarchies fingerprint differently")
 	}
-	if conflict.Key() == modern.Key() {
-		t.Error("both-set conflict aliases the valid config's fingerprint")
+	if flat.Key() == modern.Key() {
+		t.Error("removing the L2 did not move the fingerprint")
 	}
 }
 
 // TestKeyVersionNeverAliasesRetired re-encodes the canonical base
-// config with both retired layouts — version 1 (flat L2 geometry) and
-// version 2 (hierarchy-as-data but no sampling fields) — and checks
-// neither fingerprint collides with the current key: a persisted store
-// from an older version can only miss under current keys, never serve a
-// stale result for a config it does not describe.
+// config with every retired layout — version 1 (flat L2 geometry),
+// version 2 (hierarchy-as-data but no sampling fields) and version 3
+// (sampling fields, plus the zero slot of the retired single-level L2
+// geometry field) — and checks no fingerprint collides with the
+// current key: a persisted store from an older version can only miss
+// under current keys, never serve a stale result for a config it does
+// not describe.
 func TestKeyVersionNeverAliasesRetired(t *testing.T) {
-	if keyVersion != 3 {
-		t.Fatalf("keyVersion = %d, want 3 (update this test when bumping)", keyVersion)
+	if keyVersion != 4 {
+		t.Fatalf("keyVersion = %d, want 4 (update this test when bumping)", keyVersion)
 	}
 	c := Default("gcc").Canonical()
-	l2 := c.Hierarchy()[0].Geom
+	l2 := c.Levels[0].Geom
 
 	// Shared tails of the retired encodings.
 	writeFront := func(w *keyWriter) {
@@ -217,28 +209,49 @@ func TestKeyVersionNeverAliasesRetired(t *testing.T) {
 	writeEnergies(&w1)
 	v1 := w1.sum()
 
+	// v2 and v3: hierarchy as data, then the retired single-level L2
+	// geometry slot (always zero); v3 appends the sampling fields.
+	writeLevels := func(w *keyWriter) {
+		w.i(len(c.Levels))
+		for _, l := range c.Levels {
+			w.cacheSpec(l.CacheSpec)
+			w.u64(uint64(l.Precharge))
+			w.i(l.MSHREntries)
+			w.i(l.WritebackEntries)
+		}
+		w.geometry(0, 0, 0, 0)
+		w.i(c.MSHREntries)
+		w.i(c.WritebackEntries)
+	}
 	var w2 keyWriter
 	w2.u64(2) // keyVersion 2
 	writeFront(&w2)
-	w2.i(len(c.Levels)) // v2: hierarchy as data, no sampling fields
-	for _, l := range c.Levels {
-		w2.cacheSpec(l.CacheSpec)
-		w2.u64(uint64(l.Precharge))
-		w2.i(l.MSHREntries)
-		w2.i(l.WritebackEntries)
-	}
-	w2.geometry(c.L2Geom.SizeBytes, c.L2Geom.Assoc, c.L2Geom.BlockBytes, c.L2Geom.SubarrayBytes)
-	w2.i(c.MSHREntries)
-	w2.i(c.WritebackEntries)
+	writeLevels(&w2)
 	writeEnergies(&w2)
 	v2 := w2.sum()
 
-	cur := Default("gcc").Key()
-	if v1 == cur {
-		t.Fatal("current key aliases the v1 encoding of the same config")
+	var w3 keyWriter
+	w3.u64(3) // keyVersion 3
+	writeFront(&w3)
+	writeLevels(&w3)
+	w3.u64(c.Sampling.WarmupInstructions)
+	w3.u64(c.Sampling.DetailedInstructions)
+	w3.u64(c.Sampling.FastForwardInstructions)
+	w3.u64(c.Sampling.SkipInstructions)
+	writeEnergies(&w3)
+	v3 := w3.sum()
+	// The v3 re-encoding must reproduce the literal v3 key recorded for
+	// this config while v3 was current, or this test checks a layout
+	// that never existed.
+	if got, want := v3.String(), "038f2d6d7a995f69b5473ec7187d415a94d82db65749b121a90b0d5d30bbfd8b"; got != want {
+		t.Fatalf("v3 re-encoding = %s, want the recorded v3 key %s", got, want)
 	}
-	if v2 == cur {
-		t.Fatal("current key aliases the v2 encoding of the same config")
+
+	cur := Default("gcc").Key()
+	for v, old := range map[int]Key{1: v1, 2: v2, 3: v3} {
+		if old == cur {
+			t.Fatalf("current key aliases the v%d encoding of the same config", v)
+		}
 	}
 }
 

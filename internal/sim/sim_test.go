@@ -239,7 +239,7 @@ func TestHierarchyAsData(t *testing.T) {
 	// L2 energy, and the breakdown's L2 share follows the level reports.
 	cut := base
 	cut.Levels = []LevelSpec{{CacheSpec: CacheSpec{
-		Geom:   base.Hierarchy()[0].Geom,
+		Geom:   base.Levels[0].Geom,
 		Org:    core.SelectiveWays,
 		Policy: PolicySpec{Kind: PolicyStatic, StaticIndex: 2}, // 2 of 4 ways
 	}}}
@@ -261,7 +261,7 @@ func TestHierarchyAsData(t *testing.T) {
 	// The interval is short because the L2 only sees L1 misses.
 	dyn := base
 	dyn.Levels = []LevelSpec{{CacheSpec: CacheSpec{
-		Geom: base.Hierarchy()[0].Geom,
+		Geom: base.Levels[0].Geom,
 		Org:  core.SelectiveSets,
 		Policy: PolicySpec{Kind: PolicyDynamic, Interval: 128, MissBound: 8,
 			SizeBoundBytes: 64 << 10},
@@ -298,7 +298,6 @@ func TestHierarchyAsData(t *testing.T) {
 	// levels to absorb misses means more cycles, never fewer.
 	flat := base
 	flat.Levels = nil
-	flat.L2Geom = geometry.Geometry{}
 	flatRes, err := Run(flat)
 	if err != nil {
 		t.Fatal(err)
@@ -311,35 +310,5 @@ func TestHierarchyAsData(t *testing.T) {
 	}
 	if flatRes.CPU.Cycles <= bres.CPU.Cycles {
 		t.Fatal("removing the L2 should not speed the machine up")
-	}
-
-	// Setting both the deprecated L2Geom and Levels is rejected.
-	both := Default("m88ksim")
-	both.L2Geom = geometry.Geometry{SizeBytes: 512 << 10, Assoc: 4, BlockBytes: 64, SubarrayBytes: 4 << 10}
-	if _, err := Run(both); err == nil {
-		t.Fatal("config with both Levels and L2Geom accepted")
-	}
-}
-
-// TestLegacyL2GeomStillRuns: the deprecated single-field spelling keeps
-// working and produces the identical simulation.
-func TestLegacyL2GeomStillRuns(t *testing.T) {
-	modern := Default("gcc")
-	modern.Instructions = 100_000
-
-	legacy := modern
-	legacy.Levels = nil
-	legacy.L2Geom = modern.Hierarchy()[0].Geom
-
-	a, err := Run(modern)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Run(legacy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.CPU.Cycles != b.CPU.Cycles || a.Energy.TotalPJ() != b.Energy.TotalPJ() {
-		t.Fatalf("spellings diverge: %+v vs %+v", a.CPU, b.CPU)
 	}
 }

@@ -10,6 +10,7 @@ package simd_test
 
 import (
 	"context"
+	"encoding/json"
 	"net"
 	"path/filepath"
 	"reflect"
@@ -309,5 +310,76 @@ func TestProtocolVersionMismatch(t *testing.T) {
 	}
 	if !strings.Contains(resp.Err, "protocol version mismatch") {
 		t.Errorf("error = %q, want a protocol version mismatch", resp.Err)
+	}
+}
+
+// TestOldShapePlanFramesDecode: scenarios serialized by a client that
+// still knew the retired Scenario.ResizeDCache/ResizeICache booleans
+// carry them as false (clients normalize before sending), so a daemon
+// without the fields must decode such a plan and stream the same
+// outcomes as for the same plan without them — which is why dropping
+// the fields did not bump wire.ProtocolVersion.
+func TestOldShapePlanFramesDecode(t *testing.T) {
+	addr, _ := startDaemon(t, simd.Options{})
+	nc, err := net.Dial("unix", strings.TrimPrefix(addr, "unix:"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nc.Close()
+
+	current, err := json.Marshal(testPlan(t).Scenarios())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fields []map[string]any
+	if err := json.Unmarshal(current, &fields); err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range fields {
+		f["ResizeDCache"], f["ResizeICache"] = false, false
+	}
+	oldShape, err := json.Marshal(fields)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(oldShape), `"ResizeDCache":false,"ResizeICache":false`) {
+		t.Fatalf("old-shape fixture lacks the retired fields: %s", oldShape)
+	}
+
+	plan := func(id uint64, scenarios []byte) map[int]resizecache.Outcome {
+		t.Helper()
+		req := wire.Request{V: wire.ProtocolVersion, ID: id, Op: wire.OpPlan, Scenarios: scenarios}
+		if err := wire.WriteFrame(nc, req); err != nil {
+			t.Fatal(err)
+		}
+		out := make(map[int]resizecache.Outcome)
+		for {
+			var resp wire.Response
+			if err := wire.ReadFrame(nc, &resp); err != nil {
+				t.Fatal(err)
+			}
+			switch {
+			case resp.ID != id:
+				t.Fatalf("frame for request %d while awaiting %d", resp.ID, id)
+			case resp.Kind == wire.KindDone:
+				return out
+			case resp.Kind != wire.KindResult || resp.Err != "":
+				t.Fatalf("plan %d: %+v", id, resp)
+			}
+			var o resizecache.Outcome
+			if err := json.Unmarshal(resp.Outcome, &o); err != nil {
+				t.Fatal(err)
+			}
+			o.Stats = runner.Stats{} // cold vs warm runner activity
+			out[resp.Index] = o
+		}
+	}
+	want := plan(1, current)
+	got := plan(2, oldShape)
+	if len(want) != len(fields) {
+		t.Fatalf("current-shape plan streamed %d results, want %d", len(want), len(fields))
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("old-shape plan outcomes differ:\n got %+v\nwant %+v", got, want)
 	}
 }

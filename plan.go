@@ -163,10 +163,9 @@ type Plan struct {
 }
 
 // PlanOf builds a Plan from explicit scenarios: each is validated and
-// normalized (defaults filled, the deprecated resize booleans folded
-// into Sides), and duplicates after normalization collapse to their
-// first position — a legacy ResizeDCache scenario and its Sides=DOnly
-// equivalent count as one.
+// normalized (defaults filled, inert axes zeroed), and duplicates after
+// normalization collapse to their first position — a scenario that
+// leaves Assoc unset and its Assoc=2 equivalent count as one.
 func PlanOf(scenarios ...Scenario) (Plan, error) {
 	seen := make(map[Scenario]struct{}, len(scenarios))
 	var p Plan
@@ -263,7 +262,7 @@ func (s *Session) Run(ctx context.Context, plan Plan, opts ...RunOption) <-chan 
 		}
 	}
 	enqCtx, stopEnqueue := context.WithCancel(ctx)
-	_, waitEnqueued := experiment.EnqueueSweeps(enqCtx, specs, experiment.Options{Runner: s.r})
+	_, waitEnqueued := experiment.EnqueueSweeps(enqCtx, s.r, specs)
 
 	total := plan.Len()
 	var wg sync.WaitGroup

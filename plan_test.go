@@ -43,9 +43,6 @@ func TestGridExpansionDeterministicAndDeduped(t *testing.T) {
 		if sc.Benchmark == "m88ksim" && i < 4 {
 			t.Errorf("expansion order broken: m88ksim at position %d", i)
 		}
-		if sc.ResizeDCache || sc.ResizeICache {
-			t.Error("plan scenarios not normalized")
-		}
 	}
 }
 
@@ -77,17 +74,18 @@ func TestGridDefaultsAndValidation(t *testing.T) {
 	}
 }
 
-func TestPlanOfNormalizesLegacyBooleans(t *testing.T) {
-	legacy := Scenario{Benchmark: "gcc", Organization: SelectiveSets, ResizeDCache: true}
-	modern := Scenario{Benchmark: "gcc", Organization: SelectiveSets, Sides: DOnly}
-	p, err := PlanOf(legacy, modern)
+func TestPlanOfDedupsNormalizedSpellings(t *testing.T) {
+	implicit := Scenario{Benchmark: "gcc", Organization: SelectiveSets, Sides: DOnly}
+	explicit := Scenario{Benchmark: "gcc", Organization: SelectiveSets, Sides: DOnly,
+		Assoc: 2, Instructions: 1_500_000}
+	p, err := PlanOf(implicit, explicit)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if p.Len() != 1 {
-		t.Fatalf("legacy and Sides spellings did not dedup: %d scenarios", p.Len())
+		t.Fatalf("defaulted and explicit spellings did not dedup: %d scenarios", p.Len())
 	}
-	if sc := p.Scenarios()[0]; sc.Sides != DOnly || sc.ResizeDCache {
+	if sc := p.Scenarios()[0]; sc != explicit {
 		t.Errorf("normalization broken: %+v", sc)
 	}
 	if _, err := PlanOf(Scenario{Benchmark: "gcc"}); err == nil {

@@ -22,11 +22,14 @@
 //
 // Quick start:
 //
-//	res, err := resizecache.Simulate(resizecache.Scenario{
+//	res, err := resizecache.NewSession().Simulate(resizecache.Scenario{
 //	    Benchmark:    "gcc",
 //	    Organization: resizecache.SelectiveSets,
 //	    Strategy:     resizecache.Dynamic,
 //	})
+//
+// Every simulation runs on the runner of the Session (or daemon, see
+// Dial) it was submitted to; there is no process-wide shared state.
 //
 // The paper's evaluation is a design-space sweep, and the API is built
 // around that shape: a Grid declares axes (benchmarks, organizations,
@@ -278,15 +281,6 @@ type Scenario struct {
 	// Sides selects which caches resize: BothSides (the default), DOnly,
 	// or IOnly.
 	Sides Sides
-	// ResizeDCache / ResizeICache are the older boolean form of Sides:
-	// exactly one true selects that cache; both false (or both true)
-	// means both resize.
-	//
-	// Deprecated: set Sides instead. The booleans remain honoured when
-	// Sides is left at its BothSides zero value, but a combination that
-	// contradicts an explicit DOnly/IOnly is an error.
-	ResizeDCache bool
-	ResizeICache bool
 	// Assoc is the L1 set-associativity (default 2, the base config).
 	// It must describe a geometry the schedule builder supports: a
 	// positive power of two no larger than the 32K cache's subarray
@@ -315,9 +309,8 @@ type Scenario struct {
 }
 
 // normalize validates a scenario and fills defaults, returning the
-// canonical form shared by Simulate and Plan expansion: Sides carries
-// the resize selection (the deprecated booleans are folded in and
-// cleared) and Assoc and Instructions are defaulted, so two scenarios
+// canonical form shared by Simulate and Plan expansion: Assoc and
+// Instructions are defaulted and inert axes zeroed, so two scenarios
 // describing the same experiment compare equal — which is what Plan
 // deduplication relies on.
 func (sc Scenario) normalize() (Scenario, error) {
@@ -400,32 +393,9 @@ func (sc Scenario) normalize() (Scenario, error) {
 		}
 	}
 
-	switch sc.Sides {
-	case BothSides:
-		// Fold in the deprecated booleans; both set (or neither) is the
-		// combined experiment, matching their historical contract.
-		switch {
-		case sc.ResizeDCache && !sc.ResizeICache:
-			sc.Sides = DOnly
-		case sc.ResizeICache && !sc.ResizeDCache:
-			sc.Sides = IOnly
-		}
-	case DOnly:
-		if sc.ResizeICache {
-			return Scenario{}, fmt.Errorf("resizecache: Sides=DOnly contradicts ResizeICache")
-		}
-	case IOnly:
-		if sc.ResizeDCache {
-			return Scenario{}, fmt.Errorf("resizecache: Sides=IOnly contradicts ResizeDCache")
-		}
-	case L2Only:
-		if sc.ResizeDCache || sc.ResizeICache {
-			return Scenario{}, fmt.Errorf("resizecache: Sides=L2Only contradicts the L1 resize booleans")
-		}
-	default:
+	if sc.Sides < BothSides || sc.Sides > L2Only {
 		return Scenario{}, fmt.Errorf("resizecache: invalid Sides value %d", sc.Sides)
 	}
-	sc.ResizeDCache, sc.ResizeICache = false, false
 
 	// Which caches actually resize. An L2-only experiment has two
 	// spellings — Sides == L2Only, or a NonResizable L1 organization
@@ -451,23 +421,16 @@ func (sc Scenario) normalize() (Scenario, error) {
 	return sc, nil
 }
 
-// experimentOptions translates a normalized scenario into the experiment
-// layer's sweep options.
-func (sc Scenario) experimentOptions(r *runner.Runner) experiment.Options {
-	opts := experiment.DefaultOptions()
-	opts.Instructions = sc.Instructions
-	opts.Runner = r // nil selects the shared default runner
+// baseSimConfig builds the normalized scenario's non-resizable baseline
+// config: the scenario's engine and instruction budget, L1s at its
+// associativity, over the hierarchy's level stack. Every profiling
+// sweep and the combined run derive from it, so their fingerprints
+// agree by construction.
+func (sc Scenario) baseSimConfig() (sim.Config, error) {
+	opts := experiment.Options{Instructions: sc.Instructions, Engine: sim.OutOfOrder}
 	if sc.InOrder {
 		opts.Engine = sim.InOrder
 	}
-	return opts
-}
-
-// baseSimConfig builds the normalized scenario's non-resizable baseline
-// config: L1s at the scenario's associativity over the hierarchy's
-// level stack. Every profiling sweep and the combined run derive from
-// it, so their fingerprints agree by construction.
-func (sc Scenario) baseSimConfig(opts experiment.Options) (sim.Config, error) {
 	base := experiment.BaseConfig(sc.Benchmark, sc.Assoc, opts)
 	levels, err := sc.Hierarchy.levelSpecs(sc.L2.Assoc)
 	if err != nil {
@@ -490,8 +453,7 @@ func (sc Scenario) resizesL2() bool { return sc.L2.Organization != NonResizable 
 // construction. The error is non-nil only for a scenario that bypassed
 // normalize (an invalid hierarchy).
 func (sc Scenario) sweepSpecs() ([]experiment.SweepSpec, error) {
-	opts := sc.experimentOptions(nil)
-	base, err := sc.baseSimConfig(opts)
+	base, err := sc.baseSimConfig()
 	if err != nil {
 		return nil, err
 	}
@@ -581,31 +543,16 @@ type Outcome struct {
 	// difference between the executing runner's counters after and
 	// before the scenario ran. A warm repeat therefore shows zero Runs
 	// and positive ArtifactHits rather than an ever-growing cumulative
-	// snapshot. On a shared runner (the process-wide one, or a Session
-	// running a concurrent plan) the window also includes work submitted
-	// by overlapping callers; Session.Stats has the cumulative view.
+	// snapshot. On a runner shared by overlapping callers (a Session
+	// running a concurrent plan, or a daemon serving several clients)
+	// the window also includes their work; Session.Stats has the
+	// cumulative view.
 	Stats runner.Stats
 }
 
 // Benchmarks lists the available workload names (the paper's twelve SPEC
 // applications).
 func Benchmarks() []string { return workload.Names() }
-
-// Simulate runs a scenario: it profiles the requested strategy per the
-// paper's methodology (offline sweep, minimum energy-delay product) and
-// returns the outcome. All simulations execute through the process-wide
-// shared runner, so repeated Simulate calls memoize against each other;
-// use a Session for an isolated memo store, or SimulateContext for
-// cancellation.
-func Simulate(sc Scenario) (Outcome, error) {
-	return SimulateContext(context.Background(), sc)
-}
-
-// SimulateContext is Simulate with cancellation: a cancelled context
-// stops the scenario's profiling sweeps between simulations.
-func SimulateContext(ctx context.Context, sc Scenario) (Outcome, error) {
-	return simulate(ctx, sc, nil)
-}
 
 // Executor is the execution surface shared by the in-process Session
 // and the daemon-backed RemoteSession (see Dial): everything the figure
@@ -635,11 +582,11 @@ var _ Executor = (*Session)(nil)
 
 // Session shares one run-orchestration layer (worker pool, memoized
 // result store, and sweep-level artifact cache; see internal/runner)
-// across many Simulate and Run calls while staying isolated from the
-// process-wide shared runner. Scenarios that overlap — the same
-// benchmark under different strategies, or single- and dual-cache
-// resizing of the same organization — re-use each other's simulations
-// (including the non-resizable baselines) and whole profiling sweeps;
+// across many Simulate and Run calls, isolated from every other
+// Session. Scenarios that overlap — the same benchmark under different
+// strategies, or single- and dual-cache resizing of the same
+// organization — re-use each other's simulations (including the
+// non-resizable baselines) and whole profiling sweeps;
 // Run executes a whole Plan as one batch-scheduled pass. The zero
 // value is not usable; construct with NewSession or NewSessionWith.
 // Safe for concurrent use.
@@ -703,12 +650,16 @@ func (s *Session) Flush() error {
 	return s.store.Flush()
 }
 
-// Simulate is Session-scoped Simulate.
+// Simulate runs a scenario on the session: it profiles the requested
+// strategy per the paper's methodology (offline sweep, minimum
+// energy-delay product) and returns the outcome. Repeated calls on one
+// session memoize against each other.
 func (s *Session) Simulate(sc Scenario) (Outcome, error) {
 	return s.SimulateContext(context.Background(), sc)
 }
 
-// SimulateContext is Session-scoped SimulateContext.
+// SimulateContext is Simulate with cancellation: a cancelled context
+// stops the scenario's profiling sweeps between simulations.
 func (s *Session) SimulateContext(ctx context.Context, sc Scenario) (Outcome, error) {
 	return simulate(ctx, sc, s.r)
 }
@@ -792,14 +743,9 @@ func simulate(ctx context.Context, sc Scenario, r *runner.Runner) (Outcome, erro
 	if err != nil {
 		return Outcome{}, err
 	}
-	exec := r
-	if exec == nil {
-		exec = runner.Default()
-	}
-	before := exec.Stats()
+	before := r.Stats()
 
-	opts := sc.experimentOptions(r)
-	base, err := sc.baseSimConfig(opts)
+	base, err := sc.baseSimConfig()
 	if err != nil {
 		return Outcome{}, err
 	}
@@ -814,7 +760,7 @@ func simulate(ctx context.Context, sc Scenario, r *runner.Runner) (Outcome, erro
 	var out Outcome
 	var parts []experiment.Best
 	for _, spec := range specs {
-		best, err := experiment.BestSpecContext(ctx, spec, opts)
+		best, err := experiment.BestSpec(ctx, r, spec)
 		if err != nil {
 			return Outcome{}, err
 		}
@@ -841,7 +787,7 @@ func simulate(ctx context.Context, sc Scenario, r *runner.Runner) (Outcome, erro
 		out.EDPReductionPct = parts[0].EDPReductionPct()
 		out.SlowdownPct = parts[0].SlowdownPct()
 	} else {
-		comb, err := experiment.CombinedBestsContext(ctx, base, parts, opts)
+		comb, err := experiment.CombinedBests(ctx, r, base, parts)
 		if err != nil {
 			return Outcome{}, err
 		}
@@ -859,6 +805,6 @@ func simulate(ctx context.Context, sc Scenario, r *runner.Runner) (Outcome, erro
 		}
 	}
 	out.Energy = sharesOf(chosen.Energy)
-	out.Stats = exec.Stats().Delta(before)
+	out.Stats = r.Stats().Delta(before)
 	return out, nil
 }

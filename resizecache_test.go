@@ -18,14 +18,14 @@ func TestBenchmarksList(t *testing.T) {
 }
 
 func TestSimulateValidation(t *testing.T) {
-	if _, err := Simulate(Scenario{}); err == nil {
+	if _, err := NewSession().Simulate(Scenario{}); err == nil {
 		t.Fatal("empty scenario accepted")
 	}
-	if _, err := Simulate(Scenario{Benchmark: "gcc"}); err == nil {
+	if _, err := NewSession().Simulate(Scenario{Benchmark: "gcc"}); err == nil {
 		t.Fatal("non-resizable organization accepted")
 	}
 	err := func() error {
-		_, err := Simulate(Scenario{Benchmark: "nosuch", Organization: SelectiveSets})
+		_, err := NewSession().Simulate(Scenario{Benchmark: "nosuch", Organization: SelectiveSets})
 		return err
 	}()
 	if err == nil {
@@ -42,7 +42,7 @@ func TestSimulateRejectsUnsupportedAssoc(t *testing.T) {
 	// Associativities the geometry layer cannot build must fail fast with
 	// a clear error instead of profiling a degenerate config.
 	for _, assoc := range []int{-1, 3, 5, 64} {
-		_, err := Simulate(Scenario{Benchmark: "gcc", Organization: SelectiveSets, Assoc: assoc})
+		_, err := NewSession().Simulate(Scenario{Benchmark: "gcc", Organization: SelectiveSets, Assoc: assoc})
 		if err == nil {
 			t.Errorf("assoc %d accepted", assoc)
 			continue
@@ -68,12 +68,8 @@ func TestSidesNormalization(t *testing.T) {
 		want Sides
 	}{
 		{"default", base, BothSides},
-		{"legacy d", func() Scenario { s := base; s.ResizeDCache = true; return s }(), DOnly},
-		{"legacy i", func() Scenario { s := base; s.ResizeICache = true; return s }(), IOnly},
-		{"legacy both", func() Scenario { s := base; s.ResizeDCache, s.ResizeICache = true, true; return s }(), BothSides},
 		{"explicit d", func() Scenario { s := base; s.Sides = DOnly; return s }(), DOnly},
 		{"explicit i", func() Scenario { s := base; s.Sides = IOnly; return s }(), IOnly},
-		{"explicit d + redundant bool", func() Scenario { s := base; s.Sides = DOnly; s.ResizeDCache = true; return s }(), DOnly},
 	}
 	for _, c := range cases {
 		n, err := c.sc.normalize()
@@ -84,30 +80,21 @@ func TestSidesNormalization(t *testing.T) {
 		if n.Sides != c.want {
 			t.Errorf("%s: normalized to %v, want %v", c.name, n.Sides, c.want)
 		}
-		if n.ResizeDCache || n.ResizeICache {
-			t.Errorf("%s: deprecated booleans survived normalization", c.name)
-		}
 	}
-	// Contradictions between Sides and the deprecated booleans are errors.
 	bad := base
-	bad.Sides, bad.ResizeICache = DOnly, true
+	bad.Sides = Sides(9)
 	if _, err := bad.normalize(); err == nil {
-		t.Error("Sides=DOnly with ResizeICache accepted")
-	}
-	bad = base
-	bad.Sides, bad.ResizeDCache = IOnly, true
-	if _, err := bad.normalize(); err == nil {
-		t.Error("Sides=IOnly with ResizeDCache accepted")
+		t.Error("out-of-range Sides accepted")
 	}
 }
 
 func TestSimulateContextCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := SimulateContext(ctx, Scenario{
+	_, err := NewSession().SimulateContext(ctx, Scenario{
 		Benchmark:    "m88ksim",
 		Organization: SelectiveSets,
-		ResizeDCache: true,
+		Sides:        DOnly,
 		Instructions: 300_000,
 	})
 	if !errors.Is(err, context.Canceled) {
@@ -120,7 +107,7 @@ func TestSessionSharesMemoizedResults(t *testing.T) {
 	sc := Scenario{
 		Benchmark:    "m88ksim",
 		Organization: SelectiveSets,
-		ResizeDCache: true,
+		Sides:        DOnly,
 		Instructions: 200_000,
 	}
 	first, err := s.Simulate(sc)
@@ -194,7 +181,7 @@ func TestSessionPersistsAcrossProcessesViaStore(t *testing.T) {
 	sc := Scenario{
 		Benchmark:    "m88ksim",
 		Organization: SelectiveSets,
-		ResizeDCache: true,
+		Sides:        DOnly,
 		Instructions: 200_000,
 	}
 	s1, err := NewSessionWith(SessionOptions{StorePath: path})
@@ -238,10 +225,10 @@ func TestStrategyString(t *testing.T) {
 }
 
 func TestSimulateSingleCache(t *testing.T) {
-	out, err := Simulate(Scenario{
+	out, err := NewSession().Simulate(Scenario{
 		Benchmark:    "m88ksim",
 		Organization: SelectiveSets,
-		ResizeDCache: true,
+		Sides:        DOnly,
 		Instructions: 300_000,
 	})
 	if err != nil {
@@ -262,7 +249,7 @@ func TestSimulateBothCachesDefault(t *testing.T) {
 	if testing.Short() {
 		t.Skip("combined sweep in -short mode")
 	}
-	out, err := Simulate(Scenario{
+	out, err := NewSession().Simulate(Scenario{
 		Benchmark:    "ammp",
 		Organization: SelectiveSets,
 		Instructions: 300_000,
@@ -322,8 +309,6 @@ func TestL2ScenarioNormalization(t *testing.T) {
 		"L2 assoc on NoL2":            {Benchmark: "gcc", Organization: SelectiveSets, Hierarchy: NoL2, L2: L2Spec{Assoc: 8}},
 		"bad L2 assoc":                {Benchmark: "gcc", Organization: SelectiveSets, L2: L2Spec{Assoc: 3}},
 		"unknown hierarchy":           {Benchmark: "gcc", Organization: SelectiveSets, Hierarchy: Hierarchy(99)},
-		"L2Only with legacy boolean": {Benchmark: "gcc", Sides: L2Only,
-			L2: L2Spec{Organization: SelectiveWays}, ResizeDCache: true},
 		// An explicit L1 side with no resizable L1 organization asked for
 		// something the scenario cannot do — it must not silently fold to
 		// an L2-only experiment.
@@ -351,7 +336,7 @@ func TestL2ScenarioNormalization(t *testing.T) {
 }
 
 func TestSimulateL2Only(t *testing.T) {
-	out, err := Simulate(Scenario{
+	out, err := NewSession().Simulate(Scenario{
 		Benchmark:    "m88ksim",
 		Sides:        L2Only,
 		L2:           L2Spec{Organization: SelectiveWays},
@@ -380,7 +365,7 @@ func TestSimulateL1PlusL2Combined(t *testing.T) {
 	if testing.Short() {
 		t.Skip("two profiling sweeps plus a combined run in -short mode")
 	}
-	out, err := Simulate(Scenario{
+	out, err := NewSession().Simulate(Scenario{
 		Benchmark:    "m88ksim",
 		Organization: SelectiveSets,
 		Sides:        DOnly,
@@ -406,7 +391,7 @@ func TestSimulateHierarchies(t *testing.T) {
 		t.Skip("hierarchy sweep in -short mode")
 	}
 	for _, h := range []Hierarchy{NoL2, SmallL2, DeepL2L3} {
-		out, err := Simulate(Scenario{
+		out, err := NewSession().Simulate(Scenario{
 			Benchmark:    "m88ksim",
 			Organization: SelectiveSets,
 			Sides:        DOnly,
