@@ -61,8 +61,8 @@ func BenchmarkWorkloadGenerator(b *testing.B)   { benchsuite.WorkloadGenerator(b
 
 // BenchmarkPlanBatchVsSequential quantifies the tentpole property of
 // the batch API: one plan over N scenarios submits its profiling sweeps
-// in one batched enqueue pass, where N sequential Simulate calls pay
-// one enqueue pass per sweep and drain the pool between scenarios.
+// in one batched enqueue pass, where N sequential SimulateContext calls
+// pay one enqueue pass per sweep and drain the pool between scenarios.
 // (Both paths now gather barrier-free — sequential sweeps pre-enqueue
 // their candidates.) Both paths run the identical scenario set on cold
 // sessions; the reported metrics carry the enqueue-pass counts and wall
@@ -94,7 +94,7 @@ func BenchmarkPlanBatchVsSequential(b *testing.B) {
 		seq := resizecache.NewSession()
 		start = time.Now()
 		for _, sc := range scenarios {
-			if _, err := seq.Simulate(sc); err != nil {
+			if _, err := seq.SimulateContext(ctx, sc); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -11,7 +12,7 @@ import (
 )
 
 func main() {
-	out, err := resizecache.NewSession().Simulate(resizecache.Scenario{
+	out, err := resizecache.NewSession().SimulateContext(context.Background(), resizecache.Scenario{
 		Benchmark:    "m88ksim",
 		Organization: resizecache.SelectiveSets,
 		Strategy:     resizecache.Static,

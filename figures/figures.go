@@ -11,7 +11,6 @@ package figures
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"sort"
 
@@ -98,43 +97,23 @@ const figureVersion = 1
 // (same session, or a persistent store) returns without probing a
 // single per-cell sweep; a cold one expands and runs the plan once and
 // caches the aggregate. A cached payload that no longer decodes (e.g. a
-// store written by a foreign build) falls back to the direct run and
-// repairs the cache.
+// store written by a foreign build) is recomputed once and repaired by
+// Executor.Artifact.
 func cachedFigure[T any](ctx context.Context, s resizecache.Executor, domain string, g resizecache.Grid, o Options, aggregate func(map[cell]resizecache.Outcome) (T, error)) (T, error) {
-	var zero T
+	var out T
 	plan, err := g.Expand()
 	if err != nil {
-		return zero, err
+		return out, err
 	}
-	compute := func(ctx context.Context) ([]byte, error) {
+	err = s.Artifact(ctx, domain, figureVersion, plan, &out, func(ctx context.Context) (any, error) {
 		outs, err := collect(ctx, s, plan, o)
 		if err != nil {
 			return nil, err
 		}
 		agg, err := aggregate(outs)
-		if err != nil {
-			return nil, err
-		}
-		return json.Marshal(agg)
-	}
-	data, err := s.Artifact(ctx, domain, figureVersion, plan, compute)
-	if err != nil {
-		return zero, err
-	}
-	var out T
-	if err := json.Unmarshal(data, &out); err == nil {
-		return out, nil
-	}
-	data, err = compute(ctx)
-	if err != nil {
-		return zero, err
-	}
-	s.PutArtifact(domain, figureVersion, plan, data)
-	var fresh T
-	if err := json.Unmarshal(data, &fresh); err != nil {
-		return zero, err
-	}
-	return fresh, nil
+		return agg, err
+	})
+	return out, err
 }
 
 // ---------------------------------------------------------------------

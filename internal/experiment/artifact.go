@@ -2,7 +2,6 @@ package experiment
 
 import (
 	"context"
-	"encoding/json"
 
 	"resizecache/internal/runner"
 	"resizecache/internal/sim"
@@ -43,34 +42,16 @@ func sweepArtifactKey(kind string, keys []sim.Key) sim.Key {
 
 // cachedBest resolves a sweep's Best through the runner's artifact
 // cache under the sweep's artifact key, running compute only on a cold
-// fingerprint. A payload that no longer decodes (e.g. a store written by
-// a foreign build) falls back to the direct sweep and repairs both cache
-// tiers with the fresh payload, so the broken bytes cost one recompute,
-// not one per call.
+// fingerprint. A stored payload that no longer decodes (e.g. a store
+// written by a foreign build) is recomputed once and repaired in both
+// cache tiers by Runner.Artifact.
 func cachedBest(ctx context.Context, r *runner.Runner, key sim.Key, compute func(context.Context) (Best, error)) (Best, error) {
-	data, err := r.Artifact(ctx, key, func(ctx context.Context) ([]byte, error) {
-		best, err := compute(ctx)
-		if err != nil {
-			return nil, err
-		}
-		return json.Marshal(stripTraces(best))
-	})
-	if err != nil {
-		return Best{}, err
-	}
 	var best Best
-	if err := json.Unmarshal(data, &best); err != nil {
-		fresh, cerr := compute(ctx)
-		if cerr != nil {
-			return Best{}, cerr
-		}
-		fresh = stripTraces(fresh)
-		if repaired, merr := json.Marshal(fresh); merr == nil {
-			r.PutArtifact(key, repaired)
-		}
-		return fresh, nil
-	}
-	return best, nil
+	err := r.Artifact(ctx, key, &best, func(ctx context.Context) (any, error) {
+		b, err := compute(ctx)
+		return stripTraces(b), err
+	})
+	return best, err
 }
 
 // stripTraces drops the per-interval size traces from a Best's results

@@ -349,10 +349,10 @@ func BestSpec(ctx context.Context, r *runner.Runner, spec SweepSpec) (Best, erro
 	keys := sim.Keys(cfgs)
 	return cachedBest(ctx, r, sweepArtifactKey(spec.kind(), keys), func(ctx context.Context) (Best, error) {
 		// Batch-enqueue the candidate set before gathering, so a solo
-		// sweep (a single Session.Simulate, cmd/respcache) coalesces its
-		// same-front candidates into gangs exactly like a plan's
-		// batched pass does — instead of fanning them out one Run at a
-		// time behind a barrier.
+		// sweep (a single Session.SimulateContext, cmd/respcache)
+		// coalesces its same-front candidates into gangs exactly like a
+		// plan's batched pass does — instead of fanning them out one Run
+		// at a time behind a barrier.
 		enqCtx, stopEnqueue := context.WithCancel(ctx)
 		_, waitEnqueued := r.Enqueue(enqCtx, cfgs, keys)
 		defer func() {

@@ -49,7 +49,7 @@ func TestStaticSweepPicksProfiledMinimum(t *testing.T) {
 }
 
 // TestSoloSweepGangsCandidates: a lone sweep (the sequential
-// Simulate/BestSpec path, no plan in sight) must still route its
+// SimulateContext/BestSpec path, no plan in sight) must still route its
 // candidates through the runner's batched Enqueue, so same-front
 // configs coalesce into gangs and the gather loop never pays a
 // fan-out barrier.

@@ -2,6 +2,8 @@ package runner
 
 import (
 	"context"
+	"encoding/json"
+	"reflect"
 
 	"resizecache/internal/sim"
 )
@@ -9,17 +11,17 @@ import (
 // The sweep-artifact cache: figure drivers repeat whole profiling
 // sweeps, not just individual configs — Figures 5, 6, 8 and 9 all
 // re-derive static/dynamic profiling grids the previous figure already
-// selected. Artifact memoizes the *outcome of a sweep* (an opaque
-// serialized payload, typically a winner selection) under a
-// content-addressed fingerprint, so a warm sweep resolves without
-// submitting a single config. Two tiers back it: the in-memory artifact
-// table (per Runner) and, when the Runner has a Store, the persistent
-// backend shared with per-config results — so cmd/figures -resume skips
-// whole sweeps across processes, not just simulations.
+// selected. Artifact memoizes the *outcome of a sweep* (a JSON-encoded
+// value, typically a winner selection) under a content-addressed
+// fingerprint, so a warm sweep resolves without submitting a single
+// config. Two tiers back it: the in-memory artifact table (per Runner)
+// and, when the Runner has a Store, the persistent backend shared with
+// per-config results — so cmd/figures -resume skips whole sweeps across
+// processes, not just simulations.
 //
-// The payload is opaque to the runner on purpose: the experiment layer
-// owns the schema (and versions it inside its fingerprints), which keeps
-// the dependency arrow pointing from experiment to runner.
+// The value's schema belongs to the caller, which versions it inside
+// its fingerprints; the runner only encodes, stores and decodes it, which
+// keeps the dependency arrow pointing from the caller to the runner.
 
 // artifactEntry is one artifact fingerprint's slot: the owner computes
 // and closes done; concurrent callers of the same fingerprint wait.
@@ -29,25 +31,24 @@ type artifactEntry struct {
 	err  error
 }
 
-// Artifact resolves a sweep-level artifact: the in-memory tier first,
-// then the persistent store, then compute. Concurrent calls for the
-// same key run compute once (the others wait for it). Successful
-// payloads are memoized in memory and recorded to the store; errors are
-// never memoized — the per-config memo table underneath already replays
-// stored failures cheaply, and caching a cancellation would poison the
-// fingerprint for later live contexts.
+// Artifact resolves a sweep-level artifact into out (a pointer, as for
+// json.Unmarshal): the in-memory tier first, then the persistent store,
+// then compute. Concurrent calls for the same key run compute once (the
+// others wait for it). A computed value is JSON-encoded, memoized in
+// memory, recorded to the store and decoded into out, so cold and warm
+// calls return identical values. A stored payload that does not decode
+// into out (e.g. written by a build with another schema) counts as a
+// compute, not a store hit: it is recomputed once and overwritten in
+// both tiers, so the broken bytes cost one recompute, not one per call.
 //
-// Payloads must be valid JSON (the Store contract embeds them in JSON
-// documents). The returned slice is the caller's to keep: it never
-// aliases the cache, so mutating it cannot corrupt later hits.
-func (r *Runner) Artifact(ctx context.Context, key sim.Key, compute func(context.Context) ([]byte, error)) ([]byte, error) {
+// Errors are never memoized — the per-config memo table underneath
+// already replays stored failures cheaply, and caching a cancellation
+// would poison the fingerprint for later live contexts. On error out is
+// left zeroed or untouched.
+func (r *Runner) Artifact(ctx context.Context, key sim.Key, out any, compute func(context.Context) (any, error)) error {
 	for {
-		data, err, retry := r.artifactOnce(ctx, key, compute)
-		if !retry {
-			if data != nil {
-				data = append([]byte(nil), data...)
-			}
-			return data, err
+		if err, retry := r.artifactOnce(ctx, key, out, compute); !retry {
+			return err
 		}
 	}
 }
@@ -56,9 +57,9 @@ func (r *Runner) Artifact(ctx context.Context, key sim.Key, compute func(context
 // fingerprint. retry is true when the entry it waited on failed in a way
 // that does not apply to this caller (the owner erred or was cancelled;
 // the entry has been evicted, so this caller can take ownership).
-func (r *Runner) artifactOnce(ctx context.Context, key sim.Key, compute func(context.Context) ([]byte, error)) ([]byte, error, bool) {
+func (r *Runner) artifactOnce(ctx context.Context, key sim.Key, out any, compute func(context.Context) (any, error)) (error, bool) {
 	if err := ctx.Err(); err != nil {
-		return nil, err, false
+		return err, false
 	}
 
 	r.artMu.Lock()
@@ -67,21 +68,21 @@ func (r *Runner) artifactOnce(ctx context.Context, key sim.Key, compute func(con
 		case <-e.done: // completed: only successes stay in the table
 			r.artMu.Unlock()
 			r.artHits.Add(1)
-			return e.data, nil, false
+			return DecodeArtifact(e.data, out), false
 		default: // computing: join it
 			r.artMu.Unlock()
 			select {
 			case <-e.done:
 				if e.err != nil {
 					if ctx.Err() == nil {
-						return nil, nil, true // owner failed; retry with our context
+						return nil, true // owner failed; retry with our context
 					}
-					return nil, ctx.Err(), false
+					return ctx.Err(), false
 				}
 				r.artHits.Add(1)
-				return e.data, nil, false
+				return DecodeArtifact(e.data, out), false
 			case <-ctx.Done():
-				return nil, ctx.Err(), false
+				return ctx.Err(), false
 			}
 		}
 	}
@@ -90,20 +91,46 @@ func (r *Runner) artifactOnce(ctx context.Context, key sim.Key, compute func(con
 	r.artMu.Unlock()
 
 	if r.store != nil {
-		if data, ok := r.store.LookupArtifact(key); ok {
+		if data, ok := r.store.LookupArtifact(key); ok && DecodeArtifact(data, out) == nil {
 			r.artStoreHits.Add(1)
 			r.artifactComplete(key, e, data, nil)
-			return data, nil, false
+			return nil, false
 		}
 	}
 
 	r.artComputes.Add(1)
-	data, err := compute(ctx)
+	data, err := encodeArtifact(ctx, compute)
 	if err == nil && r.store != nil {
 		r.store.RecordArtifact(key, data)
 	}
 	r.artifactComplete(key, e, data, err)
-	return data, err, false
+	if err != nil {
+		return err, false
+	}
+	return DecodeArtifact(data, out), false
+}
+
+// encodeArtifact runs compute and JSON-encodes its value.
+func encodeArtifact(ctx context.Context, compute func(context.Context) (any, error)) ([]byte, error) {
+	v, err := compute(ctx)
+	if err != nil {
+		return nil, err
+	}
+	return json.Marshal(v)
+}
+
+// DecodeArtifact unmarshals an artifact payload into out, zeroing out
+// again when the payload does not decode, so a half-applied foreign
+// payload cannot leak into the value a recompute decodes over it. Cache
+// layers with their own lookup path (the daemon client) share it.
+func DecodeArtifact(data []byte, out any) error {
+	err := json.Unmarshal(data, out)
+	if err != nil {
+		if v := reflect.ValueOf(out); v.Kind() == reflect.Pointer && !v.IsNil() {
+			v.Elem().SetZero()
+		}
+	}
+	return err
 }
 
 // HasArtifact reports whether an artifact fingerprint would resolve
@@ -125,22 +152,6 @@ func (r *Runner) HasArtifact(key sim.Key) bool {
 		}
 	}
 	return false
-}
-
-// PutArtifact force-installs an artifact payload in both tiers,
-// replacing whatever either held. Cache layers above use it to repair a
-// fingerprint whose stored payload no longer decodes — without it the
-// undecodable bytes would keep hitting and force a recompute on every
-// call, in every process, forever.
-func (r *Runner) PutArtifact(key sim.Key, data []byte) {
-	e := &artifactEntry{done: make(chan struct{}), data: append([]byte(nil), data...)}
-	close(e.done)
-	r.artMu.Lock()
-	r.artifacts[key] = e
-	r.artMu.Unlock()
-	if r.store != nil {
-		r.store.RecordArtifact(key, data)
-	}
 }
 
 // artifactComplete publishes an artifact outcome; failed computations

@@ -51,15 +51,8 @@ func (g *gangRecorder) sizes() []int {
 }
 
 func TestEnqueueCoalescesGangs(t *testing.T) {
-	var solo atomic.Int32
 	rec := &gangRecorder{}
-	r := New(Options{Workers: 2,
-		RunSim: func(cfg sim.Config) (sim.Result, error) {
-			solo.Add(1)
-			return stubResult(cfg), nil
-		},
-		RunGang: rec.run,
-	})
+	r := New(Options{Workers: 2, RunGang: rec.run})
 	ctx := context.Background()
 
 	cfgs := make([]sim.Config, 10)
@@ -71,12 +64,10 @@ func TestEnqueueCoalescesGangs(t *testing.T) {
 	if n != 10 {
 		t.Fatalf("enqueued %d, want 10", n)
 	}
-	// Default gang size 8: one full gang plus the 2-member remainder.
+	// Default gang size 8: one full gang plus the 2-member remainder,
+	// and no solo batches.
 	if got := rec.sizes(); !reflect.DeepEqual(got, []int{2, 8}) {
 		t.Errorf("gang batch sizes = %v, want [2 8]", got)
-	}
-	if got := solo.Load(); got != 0 {
-		t.Errorf("%d solo simulations, want 0", got)
 	}
 	st := r.Stats()
 	if st.Ganged != 10 || st.GangBatches != 2 || st.Runs != 10 {
@@ -100,10 +91,7 @@ func TestEnqueueCoalescesGangs(t *testing.T) {
 
 func TestEnqueueGangsOnlyWithinFrontGroups(t *testing.T) {
 	rec := &gangRecorder{}
-	r := New(Options{Workers: 2,
-		RunSim:  func(cfg sim.Config) (sim.Result, error) { return stubResult(cfg), nil },
-		RunGang: rec.run,
-	})
+	r := New(Options{Workers: 2, RunGang: rec.run})
 	var cfgs []sim.Config
 	for i := 0; i < 3; i++ {
 		cfgs = append(cfgs, gangCfgN("gcc", i), gangCfgN("vpr", i))
@@ -128,24 +116,15 @@ func TestEnqueueGangsOnlyWithinFrontGroups(t *testing.T) {
 }
 
 func TestEnqueueSingletonGroupsRunSolo(t *testing.T) {
-	var solo atomic.Int32
 	rec := &gangRecorder{}
-	r := New(Options{Workers: 2,
-		RunSim: func(cfg sim.Config) (sim.Result, error) {
-			solo.Add(1)
-			return stubResult(cfg), nil
-		},
-		RunGang: rec.run,
-	})
-	// Three distinct fronts, one config each: nothing to coalesce.
+	r := New(Options{Workers: 2, RunGang: rec.run})
+	// Three distinct fronts, one config each: nothing to coalesce, so
+	// each runs as a gang of one.
 	cfgs := []sim.Config{cfgN(1), cfgN(2), cfgN(3)}
 	_, wait := r.Enqueue(context.Background(), cfgs, sim.Keys(cfgs))
 	wait()
-	if len(rec.sizes()) != 0 {
-		t.Errorf("gang dispatched for singleton groups: %v", rec.sizes())
-	}
-	if got := solo.Load(); got != 3 {
-		t.Errorf("%d solo simulations, want 3", got)
+	if got := rec.sizes(); !reflect.DeepEqual(got, []int{1, 1, 1}) {
+		t.Errorf("batch sizes for singleton groups = %v, want [1 1 1]", got)
 	}
 	if st := r.Stats(); st.Ganged != 0 || st.GangBatches != 0 {
 		t.Errorf("stats = %+v, want no ganging", st)
@@ -153,36 +132,31 @@ func TestEnqueueSingletonGroupsRunSolo(t *testing.T) {
 }
 
 func TestGangSizeOneDisablesCoalescing(t *testing.T) {
-	var solo atomic.Int32
 	rec := &gangRecorder{}
-	r := New(Options{Workers: 2, GangSize: 1,
-		RunSim: func(cfg sim.Config) (sim.Result, error) {
-			solo.Add(1)
-			return stubResult(cfg), nil
-		},
-		RunGang: rec.run,
-	})
+	r := New(Options{Workers: 2, GangSize: 1, RunGang: rec.run})
 	cfgs := make([]sim.Config, 4)
 	for i := range cfgs {
 		cfgs[i] = gangCfgN("gcc", i)
 	}
 	_, wait := r.Enqueue(context.Background(), cfgs, sim.Keys(cfgs))
 	wait()
-	if len(rec.sizes()) != 0 || solo.Load() != 4 {
-		t.Errorf("gang batches %v, solo %d; want none ganged, 4 solo",
-			rec.sizes(), solo.Load())
+	if got := rec.sizes(); !reflect.DeepEqual(got, []int{1, 1, 1, 1}) {
+		t.Errorf("batch sizes = %v, want four gangs of one", got)
+	}
+	if st := r.Stats(); st.Ganged != 0 || st.GangBatches != 0 {
+		t.Errorf("stats = %+v, want no ganging", st)
 	}
 }
 
 func TestGangErrorFallsBackToSolo(t *testing.T) {
 	var solo atomic.Int32
 	r := New(Options{Workers: 2,
-		RunSim: func(cfg sim.Config) (sim.Result, error) {
-			solo.Add(1)
-			return stubResult(cfg), nil
-		},
 		RunGang: func(cfgs []sim.Config) ([]sim.Result, error) {
-			return nil, errors.New("gang refused")
+			if len(cfgs) > 1 {
+				return nil, errors.New("gang refused")
+			}
+			solo.Add(1)
+			return []sim.Result{stubResult(cfgs[0])}, nil
 		},
 	})
 	ctx := context.Background()
@@ -213,10 +187,7 @@ func TestGangSkipsStoreHits(t *testing.T) {
 	store.Record(hit.Key(), StoredResult{Result: stubResult(hit)})
 
 	rec := &gangRecorder{}
-	r := New(Options{Workers: 2, Store: store,
-		RunSim:  func(cfg sim.Config) (sim.Result, error) { return stubResult(cfg), nil },
-		RunGang: rec.run,
-	})
+	r := New(Options{Workers: 2, Store: store, RunGang: rec.run})
 	cfgs := make([]sim.Config, 4)
 	for i := range cfgs {
 		cfgs[i] = gangCfgN("gcc", i)
@@ -233,28 +204,28 @@ func TestGangSkipsStoreHits(t *testing.T) {
 	}
 }
 
-// TestStubbedRunSimGetsSequentialGang: a stubbed RunSim without a gang
-// stub still observes every config — the default gang entry point
-// degrades to a loop over the stub.
-func TestStubbedRunSimGetsSequentialGang(t *testing.T) {
-	var calls atomic.Int32
-	r := New(Options{Workers: 2,
-		RunSim: func(cfg sim.Config) (sim.Result, error) {
-			calls.Add(1)
-			return stubResult(cfg), nil
-		},
-	})
-	cfgs := make([]sim.Config, 3)
-	for i := range cfgs {
-		cfgs[i] = gangCfgN("gcc", i)
+// TestRunIsAGangOfOne: a directly submitted config reaches the one
+// simulation seam as a one-element gang, and solo runs leave the gang
+// counters alone.
+func TestRunIsAGangOfOne(t *testing.T) {
+	rec := &gangRecorder{}
+	r := New(Options{Workers: 2, RunGang: rec.run})
+	cfg := gangCfgN("gcc", 0)
+	res, err := r.Run(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
-	_, wait := r.Enqueue(context.Background(), cfgs, sim.Keys(cfgs))
-	wait()
-	if got := calls.Load(); got != 3 {
-		t.Errorf("stub called %d times, want 3", got)
+	if !reflect.DeepEqual(res, stubResult(cfg)) {
+		t.Error("solo run returned the wrong result")
 	}
-	if st := r.Stats(); st.Ganged != 3 || st.GangBatches != 1 {
-		t.Errorf("stats = %+v, want 3 ganged in 1 batch", st)
+	rec.mu.Lock()
+	batches := rec.batches
+	rec.mu.Unlock()
+	if len(batches) != 1 || len(batches[0]) != 1 || batches[0][0].Key() != cfg.Key() {
+		t.Fatalf("RunGang saw %v, want one one-element gang of the config", batches)
+	}
+	if st := r.Stats(); st.Ganged != 0 || st.GangBatches != 0 || st.Runs != 1 {
+		t.Errorf("stats = %+v, want 1 run and no ganging", st)
 	}
 }
 

@@ -56,15 +56,15 @@ type Options struct {
 	// beyond it (0 = unbounded). Evicted configs re-simulate on the next
 	// submission unless a Store still holds them.
 	MemoLimit int
-	// RunSim overrides the simulation entry point (nil = sim.Run).
-	// Tests stub it to control timing and inject failures.
-	RunSim func(sim.Config) (sim.Result, error)
 	// GangSize bounds how many same-front-end configs one Enqueue pass
 	// coalesces into a single gang simulation (sim.RunGang). 0 means
 	// DefaultGangSize; 1 disables coalescing.
 	GangSize int
-	// RunGang overrides the gang entry point (nil = sim.RunGang, or a
-	// sequential RunSim loop when RunSim is stubbed without it).
+	// RunGang overrides the simulation entry point (nil = the
+	// checkpoint-aware sim.RunGangWithCheckpoints against Store). It is
+	// the only simulation seam: every config executes through it, a solo
+	// config as a one-element slice and coalesced configs as one call per
+	// gang. Tests stub it to control timing and inject failures.
 	RunGang func([]sim.Config) ([]sim.Result, error)
 }
 
@@ -94,8 +94,9 @@ type Stats struct {
 	// Enqueued counts configs submitted through Enqueue that were not
 	// already memoized or in flight (each got an owner goroutine).
 	Enqueued uint64
-	// Ganged counts configs simulated as members of a coalesced gang (a
-	// subset of Runs): one workload+engine pass served each batch.
+	// Ganged counts configs simulated as members of a coalesced gang of
+	// two or more (a subset of Runs): one workload+engine pass served
+	// each batch. Solo configs run as gangs of one and are not counted.
 	Ganged uint64
 	// GangBatches counts the gang passes dispatched; Ganged/GangBatches
 	// is the realized average gang size.
@@ -208,12 +209,11 @@ type entry struct {
 }
 
 // Runner schedules simulations; see the package comment. The zero value
-// is not usable — construct with New or share Default.
+// is not usable — construct with New.
 type Runner struct {
 	sem       chan struct{}
 	store     Store
 	memoLimit int
-	runSim    func(sim.Config) (sim.Result, error)
 	runGang   func([]sim.Config) ([]sim.Result, error)
 	gangSize  int
 
@@ -231,8 +231,8 @@ type Runner struct {
 	warmupHits, warmupSaves                            atomic.Uint64
 }
 
-// noteWarmup folds one simulation's warmup-checkpoint outcome into the
-// counters. Only the default (non-stubbed) entry points report.
+// noteWarmup folds one gang pass's warmup-checkpoint outcome into the
+// counters. Only the default (non-stubbed) entry point reports.
 func (r *Runner) noteWarmup(ws sim.WarmupStats) {
 	if ws.CheckpointHit {
 		r.warmupHits.Add(1)
@@ -270,46 +270,21 @@ func New(opts Options) *Runner {
 		sem:       make(chan struct{}, workers),
 		store:     opts.Store,
 		memoLimit: opts.MemoLimit,
-		runSim:    opts.RunSim,
 		runGang:   opts.RunGang,
 		gangSize:  gangSize,
 		entries:   make(map[sim.Key]*entry),
 		lru:       list.New(),
 		artifacts: make(map[sim.Key]*artifactEntry),
 	}
-	if r.runSim == nil {
+	if r.runGang == nil {
 		// The default entry point is checkpoint-aware: sampled configs
 		// with a warmup prefix restore (or record) their warm state
 		// through the Runner's store, so configs sharing a front-end skip
 		// warmup — including across processes when the store persists.
-		r.runSim = func(cfg sim.Config) (sim.Result, error) {
-			res, ws, err := sim.RunWithCheckpoints(cfg, r.checkpointTier())
+		r.runGang = func(cfgs []sim.Config) ([]sim.Result, error) {
+			out, ws, err := sim.RunGangWithCheckpoints(cfgs, r.checkpointTier())
 			r.noteWarmup(ws)
-			return res, err
-		}
-	}
-	if r.runGang == nil {
-		if opts.RunSim != nil {
-			// A stubbed RunSim without a matching gang stub must keep
-			// observing every config, so gangs degrade to a sequential loop
-			// over the stub.
-			r.runGang = func(cfgs []sim.Config) ([]sim.Result, error) {
-				out := make([]sim.Result, len(cfgs))
-				for i, cfg := range cfgs {
-					res, err := r.runSim(cfg)
-					if err != nil {
-						return nil, err
-					}
-					out[i] = res
-				}
-				return out, nil
-			}
-		} else {
-			r.runGang = func(cfgs []sim.Config) ([]sim.Result, error) {
-				out, ws, err := sim.RunGangWithCheckpoints(cfgs, r.checkpointTier())
-				r.noteWarmup(ws)
-				return out, err
-			}
+			return out, err
 		}
 	}
 	return r
@@ -405,54 +380,8 @@ func (r *Runner) runKey(ctx context.Context, key sim.Key, cfg sim.Config) (sim.R
 	r.entries[key] = e
 	r.mu.Unlock()
 
-	res, err := r.execute(ctx, key, e, cfg)
-	return res, err, false
-}
-
-// execute owns entry e for key: it resolves the config against the
-// persistent store or simulates it under the worker-pool semaphore, then
-// publishes the outcome. Both Run owners and Enqueue goroutines funnel
-// through here, so enqueued work persists, counts, and cancels exactly
-// like directly submitted work.
-func (r *Runner) execute(ctx context.Context, key sim.Key, e *entry, cfg sim.Config) (sim.Result, error) {
-	if r.store != nil {
-		if sr, ok := r.store.Lookup(key); ok {
-			r.storeHits.Add(1)
-			var err error
-			if sr.Err != "" {
-				// Replay the persisted failure instead of re-simulating a
-				// config known to fail.
-				err = &StoredError{Msg: sr.Err}
-				r.errs.Add(1)
-			}
-			r.complete(key, e, sr.Result, err)
-			return sr.Result, err
-		}
-	}
-
-	// Acquire a worker slot, simulate, publish.
-	select {
-	case r.sem <- struct{}{}:
-	case <-ctx.Done():
-		r.complete(key, e, sim.Result{}, ctx.Err())
-		return sim.Result{}, ctx.Err()
-	}
-	res, err := r.runSim(cfg)
-	<-r.sem
-
-	r.runs.Add(1)
-	if err != nil {
-		r.errs.Add(1)
-	}
-	if r.store != nil && !isCancellation(err) {
-		sr := StoredResult{Result: res}
-		if err != nil {
-			sr.Err = err.Error()
-		}
-		r.store.Record(key, sr)
-	}
-	r.complete(key, e, res, err)
-	return res, err
+	r.executeBatch(ctx, []gangItem{{cfg: cfg, key: key, e: e}})
+	return e.res, e.err, false
 }
 
 // Enqueue submits a batch of configs without waiting for their results:
@@ -508,23 +437,9 @@ func (r *Runner) Enqueue(ctx context.Context, cfgs []sim.Config, keys []sim.Key)
 	r.enqueueBatches.Add(1)
 	r.enqueued.Add(uint64(len(fresh)))
 
-	solo := func(it gangItem) {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			r.execute(ctx, it.key, it.e, it.cfg)
-		}()
-	}
-
-	if r.gangSize <= 1 {
-		for _, it := range fresh {
-			solo(it)
-		}
-		return len(fresh), wg.Wait
-	}
-
 	// Group the fresh entries by shared front-end; each same-front group
-	// dispatches as gangs of up to gangSize, stragglers solo.
+	// dispatches as batches of up to gangSize (a straggler is a batch of
+	// one).
 	groups := make(map[sim.Key][]gangItem)
 	var order []sim.Key
 	for _, it := range fresh {
@@ -536,39 +451,37 @@ func (r *Runner) Enqueue(ctx context.Context, cfgs []sim.Config, keys []sim.Key)
 	}
 	for _, fk := range order {
 		g := groups[fk]
-		for len(g) >= 2 {
-			n := r.gangSize
-			if n > len(g) {
-				n = len(g)
-			}
+		for len(g) > 0 {
+			n := min(r.gangSize, len(g))
 			batch := g[:n]
 			g = g[n:]
 			wg.Add(1)
-			go func(batch []gangItem) {
+			go func() {
 				defer wg.Done()
-				r.executeGang(ctx, batch)
-			}(batch)
-		}
-		for _, it := range g {
-			solo(it)
+				r.executeBatch(ctx, batch)
+			}()
 		}
 	}
 	return len(fresh), wg.Wait
 }
 
-// gangItem is one fresh Enqueue registration awaiting execution.
+// gangItem is one registered entry awaiting execution.
 type gangItem struct {
 	cfg sim.Config
 	key sim.Key
 	e   *entry
 }
 
-// executeGang owns a batch of same-front entries: members found in the
-// persistent store resolve individually, and the rest run as one gang
-// pass under a single worker slot. A gang-level error falls back to solo
-// execution per member, so error outcomes and attribution are identical
-// to the solo path.
-func (r *Runner) executeGang(ctx context.Context, batch []gangItem) {
+// executeBatch owns a batch of registered same-front entries; it is the
+// one place configs execute. Members found in the persistent store
+// resolve individually; the rest run as one gang pass (sim.RunGang)
+// under a single worker slot, then count, persist and publish. Run
+// owners submit a batch of one, Enqueue up to GangSize, so enqueued work
+// persists, counts and cancels exactly like directly submitted work. The
+// gang entry point rejects a whole batch on any member's error, so a
+// failed gang of two or more re-runs each member as a batch of one: error
+// outcomes and their attribution are those of a solo run.
+func (r *Runner) executeBatch(ctx context.Context, batch []gangItem) {
 	live := batch[:0]
 	for _, it := range batch {
 		if r.store != nil {
@@ -576,6 +489,8 @@ func (r *Runner) executeGang(ctx context.Context, batch []gangItem) {
 				r.storeHits.Add(1)
 				var err error
 				if sr.Err != "" {
+					// Replay the persisted failure instead of re-simulating
+					// a config known to fail.
 					err = &StoredError{Msg: sr.Err}
 					r.errs.Add(1)
 				}
@@ -585,19 +500,15 @@ func (r *Runner) executeGang(ctx context.Context, batch []gangItem) {
 		}
 		live = append(live, it)
 	}
-	switch len(live) {
-	case 0:
-		return
-	case 1:
-		r.execute(ctx, live[0].key, live[0].e, live[0].cfg)
+	if len(live) == 0 {
 		return
 	}
-
-	gangCfgs := make([]sim.Config, len(live))
+	cfgs := make([]sim.Config, len(live))
 	for i, it := range live {
-		gangCfgs[i] = it.cfg
+		cfgs[i] = it.cfg
 	}
 
+	// Acquire a worker slot, simulate, publish.
 	select {
 	case r.sem <- struct{}{}:
 	case <-ctx.Done():
@@ -606,25 +517,37 @@ func (r *Runner) executeGang(ctx context.Context, batch []gangItem) {
 		}
 		return
 	}
-	results, err := r.runGang(gangCfgs)
+	results, err := r.runGang(cfgs)
 	<-r.sem
 
-	if err != nil {
-		// The gang entry point rejects the whole batch on any member's
-		// error; re-run solo so each member gets its own outcome.
+	ganged := len(live) > 1
+	if err != nil && ganged {
 		for _, it := range live {
-			r.execute(ctx, it.key, it.e, it.cfg)
+			r.executeBatch(ctx, []gangItem{it})
 		}
 		return
 	}
-	r.gangBatches.Add(1)
+	if ganged {
+		r.gangBatches.Add(1)
+		r.ganged.Add(uint64(len(live)))
+	}
 	for i, it := range live {
-		r.runs.Add(1)
-		r.ganged.Add(1)
-		if r.store != nil {
-			r.store.Record(it.key, StoredResult{Result: results[i]})
+		var res sim.Result
+		if err == nil {
+			res = results[i]
 		}
-		r.complete(it.key, it.e, results[i], nil)
+		r.runs.Add(1)
+		if err != nil {
+			r.errs.Add(1)
+		}
+		if r.store != nil && !isCancellation(err) {
+			sr := StoredResult{Result: res}
+			if err != nil {
+				sr.Err = err.Error()
+			}
+			r.store.Record(it.key, sr)
+		}
+		r.complete(it.key, it.e, res, err)
 	}
 }
 

@@ -27,6 +27,23 @@ func runAll(ctx context.Context, r *Runner, cfgs []sim.Config) ([]sim.Result, er
 	return r.RunAll(ctx, cfgs, sim.Keys(cfgs))
 }
 
+// gangOf lifts a per-config simulation stub to the RunGang seam: it
+// loops the stub over the gang and rejects the whole gang on the first
+// member error, as sim.RunGang does.
+func gangOf(run func(sim.Config) (sim.Result, error)) func([]sim.Config) ([]sim.Result, error) {
+	return func(cfgs []sim.Config) ([]sim.Result, error) {
+		out := make([]sim.Result, len(cfgs))
+		for i, cfg := range cfgs {
+			res, err := run(cfg)
+			if err != nil {
+				return nil, err
+			}
+			out[i] = res
+		}
+		return out, nil
+	}
+}
+
 // stubResult returns a recognizable result for a config.
 func stubResult(cfg sim.Config) sim.Result {
 	var r sim.Result
@@ -37,10 +54,10 @@ func stubResult(cfg sim.Config) sim.Result {
 
 func TestRunMemoizes(t *testing.T) {
 	var calls atomic.Int32
-	r := New(Options{Workers: 2, RunSim: func(cfg sim.Config) (sim.Result, error) {
+	r := New(Options{Workers: 2, RunGang: gangOf(func(cfg sim.Config) (sim.Result, error) {
 		calls.Add(1)
 		return stubResult(cfg), nil
-	}})
+	})})
 	ctx := context.Background()
 	first, err := r.Run(ctx, cfgN(0))
 	if err != nil {
@@ -64,10 +81,10 @@ func TestRunMemoizes(t *testing.T) {
 
 func TestRunAllDeterministicOrderAndBaselineDedup(t *testing.T) {
 	var calls atomic.Int32
-	r := New(Options{Workers: 4, RunSim: func(cfg sim.Config) (sim.Result, error) {
+	r := New(Options{Workers: 4, RunGang: gangOf(func(cfg sim.Config) (sim.Result, error) {
 		calls.Add(1)
 		return stubResult(cfg), nil
-	}})
+	})})
 	// A sweep-shaped batch: baseline duplicated at both ends plus three
 	// distinct candidates.
 	cfgs := []sim.Config{cfgN(0), cfgN(1), cfgN(2), cfgN(3), cfgN(0)}
@@ -93,11 +110,11 @@ func TestConcurrentIdenticalSubmissionsDeduplicate(t *testing.T) {
 	const waiters = 8
 	release := make(chan struct{})
 	var calls atomic.Int32
-	r := New(Options{Workers: waiters, RunSim: func(cfg sim.Config) (sim.Result, error) {
+	r := New(Options{Workers: waiters, RunGang: gangOf(func(cfg sim.Config) (sim.Result, error) {
 		calls.Add(1)
 		<-release
 		return stubResult(cfg), nil
-	}})
+	})})
 	var wg sync.WaitGroup
 	errs := make([]error, waiters)
 	for i := 0; i < waiters; i++ {
@@ -136,10 +153,10 @@ func TestConcurrentIdenticalSubmissionsDeduplicate(t *testing.T) {
 func TestRunErrorsAreMemoized(t *testing.T) {
 	boom := errors.New("boom")
 	var calls atomic.Int32
-	r := New(Options{Workers: 1, RunSim: func(sim.Config) (sim.Result, error) {
+	r := New(Options{Workers: 1, RunGang: gangOf(func(sim.Config) (sim.Result, error) {
 		calls.Add(1)
 		return sim.Result{}, boom
-	}})
+	})})
 	for i := 0; i < 2; i++ {
 		if _, err := r.Run(context.Background(), cfgN(0)); !errors.Is(err, boom) {
 			t.Fatalf("want boom, got %v", err)
@@ -156,11 +173,11 @@ func TestRunErrorsAreMemoized(t *testing.T) {
 func TestContextCancellationMidSweep(t *testing.T) {
 	started := make(chan struct{}, 64)
 	release := make(chan struct{})
-	r := New(Options{Workers: 1, RunSim: func(cfg sim.Config) (sim.Result, error) {
+	r := New(Options{Workers: 1, RunGang: gangOf(func(cfg sim.Config) (sim.Result, error) {
 		started <- struct{}{}
 		<-release
 		return stubResult(cfg), nil
-	}})
+	})})
 	ctx, cancel := context.WithCancel(context.Background())
 	var cfgs []sim.Config
 	for i := 0; i < 16; i++ {
@@ -189,10 +206,10 @@ func TestContextCancellationMidSweep(t *testing.T) {
 
 func TestCancelledEntryRetriesOnLiveContext(t *testing.T) {
 	var calls atomic.Int32
-	r := New(Options{Workers: 1, RunSim: func(cfg sim.Config) (sim.Result, error) {
+	r := New(Options{Workers: 1, RunGang: gangOf(func(cfg sim.Config) (sim.Result, error) {
 		calls.Add(1)
 		return stubResult(cfg), nil
-	}})
+	})})
 	cancelled, cancel := context.WithCancel(context.Background())
 	cancel()
 	if _, err := r.Run(cancelled, cfgN(0)); !errors.Is(err, context.Canceled) {
@@ -223,7 +240,7 @@ func TestDiskStoreRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r1 := New(Options{Workers: 2, Store: store, RunSim: runSim})
+	r1 := New(Options{Workers: 2, Store: store, RunGang: gangOf(runSim)})
 	if _, err := runAll(context.Background(), r1, []sim.Config{cfgN(0), cfgN(1)}); err != nil {
 		t.Fatal(err)
 	}
@@ -242,10 +259,10 @@ func TestDiskStoreRoundTrip(t *testing.T) {
 	if store2.Len() != 2 {
 		t.Fatalf("reloaded store holds %d results, want 2", store2.Len())
 	}
-	r2 := New(Options{Workers: 2, Store: store2, RunSim: func(sim.Config) (sim.Result, error) {
+	r2 := New(Options{Workers: 2, Store: store2, RunGang: gangOf(func(sim.Config) (sim.Result, error) {
 		t.Error("store-resident config was re-simulated")
 		return sim.Result{}, fmt.Errorf("unexpected simulation")
-	}})
+	})})
 	res, err := r2.Run(context.Background(), cfgN(1))
 	if err != nil {
 		t.Fatal(err)
@@ -283,9 +300,9 @@ func TestStoredErrorReplayedWithoutSimulating(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r1 := New(Options{Workers: 1, Store: store, RunSim: func(sim.Config) (sim.Result, error) {
+	r1 := New(Options{Workers: 1, Store: store, RunGang: gangOf(func(sim.Config) (sim.Result, error) {
 		return sim.Result{}, boom
-	}})
+	})})
 	if _, err := r1.Run(context.Background(), cfgN(0)); !errors.Is(err, boom) {
 		t.Fatalf("want boom, got %v", err)
 	}
@@ -299,10 +316,10 @@ func TestStoredErrorReplayedWithoutSimulating(t *testing.T) {
 		t.Fatal(err)
 	}
 	var calls atomic.Int32
-	r2 := New(Options{Workers: 1, Store: store2, RunSim: func(sim.Config) (sim.Result, error) {
+	r2 := New(Options{Workers: 1, Store: store2, RunGang: gangOf(func(sim.Config) (sim.Result, error) {
 		calls.Add(1)
 		return sim.Result{}, nil
-	}})
+	})})
 	_, err = r2.Run(context.Background(), cfgN(0))
 	var se *StoredError
 	if !errors.As(err, &se) || !strings.Contains(se.Error(), "boom") {
@@ -318,9 +335,9 @@ func TestStoredErrorReplayedWithoutSimulating(t *testing.T) {
 
 func TestCancellationsAreNeverPersisted(t *testing.T) {
 	store := NewMemStore()
-	r := New(Options{Workers: 1, Store: store, RunSim: func(sim.Config) (sim.Result, error) {
+	r := New(Options{Workers: 1, Store: store, RunGang: gangOf(func(sim.Config) (sim.Result, error) {
 		return sim.Result{}, context.Canceled
-	}})
+	})})
 	if _, err := r.Run(context.Background(), cfgN(0)); !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
 	}
@@ -329,10 +346,10 @@ func TestCancellationsAreNeverPersisted(t *testing.T) {
 	}
 	// The fingerprint stays retryable, and the retry's success persists.
 	var calls atomic.Int32
-	r2 := New(Options{Workers: 1, Store: store, RunSim: func(cfg sim.Config) (sim.Result, error) {
+	r2 := New(Options{Workers: 1, Store: store, RunGang: gangOf(func(cfg sim.Config) (sim.Result, error) {
 		calls.Add(1)
 		return stubResult(cfg), nil
-	}})
+	})})
 	if _, err := r2.Run(context.Background(), cfgN(0)); err != nil {
 		t.Fatal(err)
 	}
@@ -391,12 +408,12 @@ func TestMemStoreIsAPluggableBackend(t *testing.T) {
 		calls.Add(1)
 		return stubResult(cfg), nil
 	}
-	r1 := New(Options{Workers: 1, Store: store, RunSim: runSim})
+	r1 := New(Options{Workers: 1, Store: store, RunGang: gangOf(runSim)})
 	if _, err := r1.Run(context.Background(), cfgN(0)); err != nil {
 		t.Fatal(err)
 	}
 	// A second runner sharing the backend resolves without simulating.
-	r2 := New(Options{Workers: 1, Store: store, RunSim: runSim})
+	r2 := New(Options{Workers: 1, Store: store, RunGang: gangOf(runSim)})
 	res, err := r2.Run(context.Background(), cfgN(0))
 	if err != nil {
 		t.Fatal(err)
@@ -414,10 +431,10 @@ func TestMemStoreIsAPluggableBackend(t *testing.T) {
 
 func TestMemoLRUEviction(t *testing.T) {
 	var calls atomic.Int32
-	r := New(Options{Workers: 1, MemoLimit: 2, RunSim: func(cfg sim.Config) (sim.Result, error) {
+	r := New(Options{Workers: 1, MemoLimit: 2, RunGang: gangOf(func(cfg sim.Config) (sim.Result, error) {
 		calls.Add(1)
 		return stubResult(cfg), nil
-	}})
+	})})
 	ctx := context.Background()
 	for i := 0; i < 3; i++ { // fills the table, evicting cfg 0
 		if _, err := r.Run(ctx, cfgN(i)); err != nil {
@@ -456,22 +473,22 @@ func TestArtifactMemoizesAndPersists(t *testing.T) {
 	store := NewMemStore()
 	r := New(Options{Workers: 1, Store: store})
 	key := sim.NewKeyBuilder("runner-test").Str("artifact").Sum()
+	type payload struct{ V int }
 	var computes atomic.Int32
-	compute := func(context.Context) ([]byte, error) {
+	compute := func(context.Context) (any, error) {
 		computes.Add(1)
-		return []byte(`{"v":1}`), nil
+		return payload{V: 1}, nil
 	}
 	ctx := context.Background()
-	a, err := r.Artifact(ctx, key, compute)
-	if err != nil {
+	var a, b payload
+	if err := r.Artifact(ctx, key, &a, compute); err != nil {
 		t.Fatal(err)
 	}
-	b, err := r.Artifact(ctx, key, compute)
-	if err != nil {
+	if err := r.Artifact(ctx, key, &b, compute); err != nil {
 		t.Fatal(err)
 	}
-	if string(a) != `{"v":1}` || string(b) != string(a) {
-		t.Errorf("artifact payloads differ: %q vs %q", a, b)
+	if a.V != 1 || b != a {
+		t.Errorf("artifact values differ: %+v vs %+v", a, b)
 	}
 	if computes.Load() != 1 {
 		t.Errorf("computed %d times, want 1", computes.Load())
@@ -482,12 +499,12 @@ func TestArtifactMemoizesAndPersists(t *testing.T) {
 
 	// A fresh runner sharing the store resolves from the persistent tier.
 	r2 := New(Options{Workers: 1, Store: store})
-	c, err := r2.Artifact(ctx, key, compute)
-	if err != nil {
+	var c payload
+	if err := r2.Artifact(ctx, key, &c, compute); err != nil {
 		t.Fatal(err)
 	}
-	if string(c) != string(a) {
-		t.Error("persistent tier returned wrong payload")
+	if c != a {
+		t.Error("persistent tier returned wrong value")
 	}
 	if computes.Load() != 1 {
 		t.Error("persistent tier miss recomputed the artifact")
@@ -503,16 +520,17 @@ func TestArtifactErrorsAreNotMemoized(t *testing.T) {
 	boom := errors.New("boom")
 	fail := true
 	ctx := context.Background()
-	if _, err := r.Artifact(ctx, key, func(context.Context) ([]byte, error) {
+	var data string
+	if err := r.Artifact(ctx, key, &data, func(context.Context) (any, error) {
 		return nil, boom
 	}); !errors.Is(err, boom) {
 		t.Fatalf("want boom, got %v", err)
 	}
-	data, err := r.Artifact(ctx, key, func(context.Context) ([]byte, error) {
+	err := r.Artifact(ctx, key, &data, func(context.Context) (any, error) {
 		fail = false
-		return []byte("ok"), nil
+		return "ok", nil
 	})
-	if err != nil || string(data) != "ok" {
+	if err != nil || data != "ok" {
 		t.Fatalf("failed fingerprint not retried: %q, %v", data, err)
 	}
 	if fail {
@@ -527,16 +545,16 @@ func TestArtifactInFlightDedup(t *testing.T) {
 	release := make(chan struct{})
 	var computes atomic.Int32
 	var wg sync.WaitGroup
-	outs := make([][]byte, waiters)
+	outs := make([]string, waiters)
 	errs := make([]error, waiters)
 	for i := 0; i < waiters; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			outs[i], errs[i] = r.Artifact(context.Background(), key, func(context.Context) ([]byte, error) {
+			errs[i] = r.Artifact(context.Background(), key, &outs[i], func(context.Context) (any, error) {
 				computes.Add(1)
 				<-release
-				return []byte("shared"), nil
+				return "shared", nil
 			})
 		}(i)
 	}
@@ -554,7 +572,7 @@ func TestArtifactInFlightDedup(t *testing.T) {
 		if errs[i] != nil {
 			t.Fatalf("waiter %d: %v", i, errs[i])
 		}
-		if string(outs[i]) != "shared" {
+		if outs[i] != "shared" {
 			t.Errorf("waiter %d got %q", i, outs[i])
 		}
 	}
@@ -588,11 +606,11 @@ func TestRealSimulationThroughRunner(t *testing.T) {
 func TestEnqueueRegistersSynchronouslyAndJoins(t *testing.T) {
 	release := make(chan struct{})
 	var calls atomic.Int32
-	r := New(Options{Workers: 8, RunSim: func(cfg sim.Config) (sim.Result, error) {
+	r := New(Options{Workers: 8, RunGang: gangOf(func(cfg sim.Config) (sim.Result, error) {
 		calls.Add(1)
 		<-release
 		return stubResult(cfg), nil
-	}})
+	})})
 	cfgs := []sim.Config{cfgN(0), cfgN(1), cfgN(2)}
 	if n, _ := r.Enqueue(context.Background(), cfgs, sim.Keys(cfgs)); n != 3 {
 		t.Fatalf("enqueued %d configs, want 3", n)
@@ -626,9 +644,9 @@ func TestEnqueueRegistersSynchronouslyAndJoins(t *testing.T) {
 }
 
 func TestRunAllCountsBarrierOnFreshWork(t *testing.T) {
-	r := New(Options{Workers: 2, RunSim: func(cfg sim.Config) (sim.Result, error) {
+	r := New(Options{Workers: 2, RunGang: gangOf(func(cfg sim.Config) (sim.Result, error) {
 		return stubResult(cfg), nil
-	}})
+	})})
 	ctx := context.Background()
 	if _, err := runAll(ctx, r, []sim.Config{cfgN(0), cfgN(1)}); err != nil {
 		t.Fatal(err)
@@ -655,11 +673,11 @@ func TestRunAllCountsBarrierOnFreshWork(t *testing.T) {
 func TestEnqueueCancellationLeavesRetryable(t *testing.T) {
 	started := make(chan struct{}, 64)
 	release := make(chan struct{})
-	r := New(Options{Workers: 1, RunSim: func(cfg sim.Config) (sim.Result, error) {
+	r := New(Options{Workers: 1, RunGang: gangOf(func(cfg sim.Config) (sim.Result, error) {
 		started <- struct{}{}
 		<-release
 		return stubResult(cfg), nil
-	}})
+	})})
 	ctx, cancel := context.WithCancel(context.Background())
 	pair := []sim.Config{cfgN(0), cfgN(1)}
 	r.Enqueue(ctx, pair, sim.Keys(pair))
@@ -684,8 +702,9 @@ func TestHasArtifactBothTiers(t *testing.T) {
 	if r.HasArtifact(key) {
 		t.Fatal("cold fingerprint reported present")
 	}
-	if _, err := r.Artifact(context.Background(), key, func(context.Context) ([]byte, error) {
-		return []byte(`{"v":1}`), nil
+	var v int
+	if err := r.Artifact(context.Background(), key, &v, func(context.Context) (any, error) {
+		return 1, nil
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -716,11 +735,11 @@ func TestEnqueueWaitDrainsStragglersBeforeFlush(t *testing.T) {
 	store := NewMemStore()
 	started := make(chan sim.Config, 2)
 	release := make(chan struct{})
-	r := New(Options{Workers: 1, Store: store, RunSim: func(cfg sim.Config) (sim.Result, error) {
+	r := New(Options{Workers: 1, Store: store, RunGang: gangOf(func(cfg sim.Config) (sim.Result, error) {
 		started <- cfg
 		<-release
 		return stubResult(cfg), nil
-	}})
+	})})
 	ctx, cancel := context.WithCancel(context.Background())
 	pair := []sim.Config{cfgN(0), cfgN(1)}
 	n, wait := r.Enqueue(ctx, pair, sim.Keys(pair))
@@ -765,10 +784,10 @@ func TestStaleKeyEncodingInvalidatesCleanly(t *testing.T) {
 		t.Fatalf("stale store failed to load: %d results", store2.Len())
 	}
 	var calls atomic.Int32
-	r := New(Options{Workers: 1, Store: store2, RunSim: func(cfg sim.Config) (sim.Result, error) {
+	r := New(Options{Workers: 1, Store: store2, RunGang: gangOf(func(cfg sim.Config) (sim.Result, error) {
 		calls.Add(1)
 		return stubResult(cfg), nil
-	}})
+	})})
 	res, err := r.Run(context.Background(), cfgN(0))
 	if err != nil {
 		t.Fatal(err)

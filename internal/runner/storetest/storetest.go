@@ -21,6 +21,23 @@ import (
 	"resizecache/internal/stats"
 )
 
+// gangOf lifts a per-config simulation stub to the runner's RunGang
+// seam: it loops the stub over the gang and rejects the whole gang on the
+// first member error, as sim.RunGang does.
+func gangOf(run func(sim.Config) (sim.Result, error)) func([]sim.Config) ([]sim.Result, error) {
+	return func(cfgs []sim.Config) ([]sim.Result, error) {
+		out := make([]sim.Result, len(cfgs))
+		for i, cfg := range cfgs {
+			res, err := run(cfg)
+			if err != nil {
+				return nil, err
+			}
+			out[i] = res
+		}
+		return out, nil
+	}
+}
+
 // key returns a distinct deterministic fingerprint per seed.
 func key(seed byte) sim.Key {
 	var k sim.Key
@@ -193,10 +210,10 @@ func Run(t *testing.T, open func(t *testing.T) runner.Store) {
 		cfg.Instructions = 1000
 		want := sampleResult()
 		s.Record(cfg.Key(), runner.StoredResult{Result: want})
-		r := runner.New(runner.Options{Store: s, RunSim: func(sim.Config) (sim.Result, error) {
+		r := runner.New(runner.Options{Store: s, RunGang: gangOf(func(sim.Config) (sim.Result, error) {
 			t.Error("stored config was re-simulated")
 			return sim.Result{}, nil
-		}})
+		})})
 		got, err := r.Run(context.Background(), cfg)
 		if err != nil {
 			t.Fatalf("Run: %v", err)
@@ -214,10 +231,10 @@ func Run(t *testing.T, open func(t *testing.T) runner.Store) {
 		cfg := sim.Default("gcc")
 		cfg.Instructions = 1000
 		s.Record(cfg.Key(), runner.StoredResult{Err: "known-bad config"})
-		r := runner.New(runner.Options{Store: s, RunSim: func(sim.Config) (sim.Result, error) {
+		r := runner.New(runner.Options{Store: s, RunGang: gangOf(func(sim.Config) (sim.Result, error) {
 			t.Error("stored failure was re-simulated")
 			return sim.Result{}, nil
-		}})
+		})})
 		_, err := r.Run(context.Background(), cfg)
 		var stored *runner.StoredError
 		if !errors.As(err, &stored) {
@@ -287,9 +304,9 @@ func RunUnreachable(t *testing.T, open func(t *testing.T) runner.Store, maxPerOp
 		cfg := sim.Default("gcc")
 		cfg.Instructions = 1000
 		want := sampleResult()
-		r := runner.New(runner.Options{Store: s, RunSim: func(sim.Config) (sim.Result, error) {
+		r := runner.New(runner.Options{Store: s, RunGang: gangOf(func(sim.Config) (sim.Result, error) {
 			return want, nil
-		}})
+		})})
 		var got sim.Result
 		var err error
 		timed(t, "Runner.Run", func() { got, err = r.Run(context.Background(), cfg) })

@@ -165,7 +165,7 @@ func TestRemoteSimulateAndStats(t *testing.T) {
 
 	sc := resizecache.Scenario{Benchmark: "m88ksim", Organization: resizecache.SelectiveSets,
 		Sides: resizecache.DOnly, Instructions: 60_000}
-	out, err := remote.Simulate(sc)
+	out, err := remote.SimulateContext(context.Background(), sc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,10 +178,69 @@ func TestRemoteSimulateAndStats(t *testing.T) {
 			st, srv.Stats().Runs)
 	}
 
-	if _, err := remote.Simulate(resizecache.Scenario{Benchmark: "no-such-app",
+	if _, err := remote.SimulateContext(context.Background(), resizecache.Scenario{Benchmark: "no-such-app",
 		Organization: resizecache.SelectiveSets, Instructions: 60_000}); err == nil {
 		t.Error("invalid scenario simulated without error")
 	}
+}
+
+// TestRemoteArtifactRepairsUndecodablePayload: RemoteSession.Artifact
+// keeps its own lookup/decode path, so it must repair like the
+// in-process tier: a daemon-cached payload that does not decode (here
+// planted by a client with another schema) costs exactly one compute,
+// after which the same client and a fresh one both hit.
+func TestRemoteArtifactRepairsUndecodablePayload(t *testing.T) {
+	addr, _ := startDaemon(t, simd.Options{})
+	dial := func() *resizecache.RemoteSession {
+		t.Helper()
+		remote, err := resizecache.Dial(addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { remote.Close() })
+		return remote
+	}
+	ctx := context.Background()
+	plan := testPlan(t)
+	const domain, version = "test/repair", 1
+
+	// Valid JSON that does not decode into rows below, but would leave a
+	// stale map key behind a partial decode.
+	var foreign map[string]any
+	if err := dial().Artifact(ctx, domain, version, plan, &foreign, func(context.Context) (any, error) {
+		return map[string]any{"Cells": map[string]int{"stale": 1}, "Vals": "not-a-list"}, nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+
+	type rows struct {
+		Name  string
+		Vals  []int
+		Cells map[string]int
+	}
+	want := rows{Name: "fresh", Vals: []int{4, 5}, Cells: map[string]int{"fresh": 2}}
+	var computes int
+	compute := func(context.Context) (any, error) {
+		computes++
+		return want, nil
+	}
+	resolve := func(remote *resizecache.RemoteSession, step string) {
+		t.Helper()
+		var got rows
+		if err := remote.Artifact(ctx, domain, version, plan, &got, compute); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: Artifact = %+v, want %+v", step, got, want)
+		}
+		if computes != 1 {
+			t.Fatalf("%s: %d computes, want exactly 1", step, computes)
+		}
+	}
+	remote := dial()
+	resolve(remote, "repair")
+	resolve(remote, "same client")
+	resolve(dial(), "fresh client")
 }
 
 // TestRemoteCancelKeepsConnectionUsable: cancelling a plan mid-stream

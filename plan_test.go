@@ -97,7 +97,24 @@ func TestPlanOfDedupsNormalizedSpellings(t *testing.T) {
 // real simulations, with a pool wide enough that blocked stubs cannot
 // starve other scenarios' work.
 func stubbedSession(runSim func(sim.Config) (sim.Result, error)) *Session {
-	return &Session{r: runner.New(runner.Options{Workers: 64, RunSim: runSim})}
+	return &Session{r: runner.New(runner.Options{Workers: 64, RunGang: gangOf(runSim)})}
+}
+
+// gangOf lifts a per-config simulation stub to the runner's RunGang
+// seam: it loops the stub over the gang and rejects the whole gang on the
+// first member error, as sim.RunGang does.
+func gangOf(run func(sim.Config) (sim.Result, error)) func([]sim.Config) ([]sim.Result, error) {
+	return func(cfgs []sim.Config) ([]sim.Result, error) {
+		out := make([]sim.Result, len(cfgs))
+		for i, cfg := range cfgs {
+			res, err := run(cfg)
+			if err != nil {
+				return nil, err
+			}
+			out[i] = res
+		}
+		return out, nil
+	}
 }
 
 // stubResult fabricates a plausible simulation result: positive EDP so
@@ -238,10 +255,10 @@ func TestOnResultReportsCompletedOfTotal(t *testing.T) {
 // TestPlanRunsAsOneBatchedPass is the acceptance check for batch
 // scheduling: a multi-scenario plan submits its profiling sweeps through
 // one batched enqueue pass and gathers with zero fan-out barriers, where
-// the same scenarios run sequentially through Simulate pay one enqueue
-// pass per sweep (each sweep pre-enqueues its own candidates, so even
-// the solo path gangs and gathers barrier-free); and a warm plan re-run
-// neither enqueues nor simulates.
+// the same scenarios run sequentially through SimulateContext pay one
+// enqueue pass per sweep (each sweep pre-enqueues its own candidates, so
+// even the solo path gangs and gathers barrier-free); and a warm plan
+// re-run neither enqueues nor simulates.
 func TestPlanRunsAsOneBatchedPass(t *testing.T) {
 	scenarios := []Scenario{
 		{Benchmark: "m88ksim", Organization: SelectiveSets, Sides: DOnly, Instructions: 60_000},
@@ -273,7 +290,7 @@ func TestPlanRunsAsOneBatchedPass(t *testing.T) {
 	// barriers and ganged execution even on the solo path.
 	seq := NewSession()
 	for _, sc := range scenarios {
-		if _, err := seq.Simulate(sc); err != nil {
+		if _, err := seq.SimulateContext(context.Background(), sc); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -325,7 +342,7 @@ func TestPlanOutcomesMatchSimulate(t *testing.T) {
 	}
 	seq := NewSession()
 	for i, sc := range scenarios {
-		want, err := seq.Simulate(sc)
+		want, err := seq.SimulateContext(context.Background(), sc)
 		if err != nil {
 			t.Fatal(err)
 		}

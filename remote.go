@@ -28,7 +28,7 @@ type RemoteError struct{ Msg string }
 func (e *RemoteError) Error() string { return "resizecache: remote: " + e.Msg }
 
 // RemoteSession executes scenarios on a simd daemon. It is an Executor:
-// Run, Simulate, and Artifact behave like Session's, except that
+// Run, SimulateContext and Artifact behave like Session's, except that
 // simulations run in the daemon's worker pool and memoize against every
 // other client's work. Safe for concurrent use; one connection
 // multiplexes concurrent plans. Close when done.
@@ -238,12 +238,7 @@ func (s *RemoteSession) Run(ctx context.Context, plan Plan, opts ...RunOption) <
 	return out
 }
 
-// Simulate runs one scenario on the daemon.
-func (s *RemoteSession) Simulate(sc Scenario) (Outcome, error) {
-	return s.SimulateContext(context.Background(), sc)
-}
-
-// SimulateContext is Simulate with cancellation: it submits the
+// SimulateContext runs one scenario on the daemon: it submits the
 // scenario as a one-element plan, so identical concurrent submissions —
 // from this client or any other — deduplicate on the daemon.
 func (s *RemoteSession) SimulateContext(ctx context.Context, sc Scenario) (Outcome, error) {
@@ -256,40 +251,32 @@ func (s *RemoteSession) SimulateContext(ctx context.Context, sc Scenario) (Outco
 }
 
 // Artifact mirrors Session.Artifact against the daemon's store: a
-// payload cached under the plan's fingerprint is returned without
-// touching the plan's sweeps; a miss runs compute locally and records
-// the payload for every other client. Lookup failures degrade to
-// misses; a compute result that is not valid JSON is returned but not
-// recorded (the store contract).
-func (s *RemoteSession) Artifact(ctx context.Context, domain string, version int, plan Plan, compute func(context.Context) ([]byte, error)) ([]byte, error) {
+// payload cached under the plan's fingerprint decodes into out without
+// touching the plan's sweeps; a miss — or a cached payload that does
+// not decode into out — runs compute locally and records the JSON
+// encoding of its value for every other client, overwriting the
+// undecodable bytes. Lookup failures degrade to misses.
+func (s *RemoteSession) Artifact(ctx context.Context, domain string, version int, plan Plan, out any, compute func(context.Context) (any, error)) error {
 	key := planArtifactKey(domain, version, plan).String()
 	resp, err := s.conn.Call(ctx, wire.Request{Op: wire.OpLookupArtifact, Key: key})
-	if err == nil && resp.Found {
-		return append([]byte(nil), resp.Value...), nil
+	if err == nil && resp.Found && runner.DecodeArtifact(resp.Value, out) == nil {
+		return nil
 	}
 	if ctx.Err() != nil {
-		return nil, ctx.Err()
+		return ctx.Err()
 	}
-	data, err := compute(ctx)
+	v, err := compute(ctx)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	if json.Valid(data) {
-		// Best-effort: a record failure costs the next client a
-		// recompute, never correctness.
-		s.conn.Call(ctx, wire.Request{Op: wire.OpRecordArtifact, Key: key, Value: data})
+	data, err := json.Marshal(v)
+	if err != nil {
+		return err
 	}
-	return data, nil
-}
-
-// PutArtifact force-installs a payload under Artifact's fingerprint on
-// the daemon (best-effort, like every store record).
-func (s *RemoteSession) PutArtifact(domain string, version int, plan Plan, payload []byte) {
-	if !json.Valid(payload) {
-		return
-	}
-	s.conn.Call(context.Background(), wire.Request{
-		Op: wire.OpRecordArtifact, Key: planArtifactKey(domain, version, plan).String(), Value: payload})
+	// Best-effort: a record failure costs the next client a recompute,
+	// never correctness.
+	s.conn.Call(ctx, wire.Request{Op: wire.OpRecordArtifact, Key: key, Value: data})
+	return runner.DecodeArtifact(data, out)
 }
 
 // Stats returns the daemon's cumulative scheduling counters — the

@@ -22,7 +22,7 @@
 //
 // Quick start:
 //
-//	res, err := resizecache.NewSession().Simulate(resizecache.Scenario{
+//	res, err := resizecache.NewSession().SimulateContext(ctx, resizecache.Scenario{
 //	    Benchmark:    "gcc",
 //	    Organization: resizecache.SelectiveSets,
 //	    Strategy:     resizecache.Dynamic,
@@ -309,7 +309,7 @@ type Scenario struct {
 }
 
 // normalize validates a scenario and fills defaults, returning the
-// canonical form shared by Simulate and Plan expansion: Assoc and
+// canonical form shared by SimulateContext and Plan expansion: Assoc and
 // Instructions are defaulted and inert axes zeroed, so two scenarios
 // describing the same experiment compare equal — which is what Plan
 // deduplication relies on.
@@ -563,13 +563,11 @@ func Benchmarks() []string { return workload.Names() }
 type Executor interface {
 	// Run executes a plan and streams results; see Session.Run.
 	Run(ctx context.Context, plan Plan, opts ...RunOption) <-chan Result
-	// Simulate / SimulateContext run one scenario.
-	Simulate(sc Scenario) (Outcome, error)
+	// SimulateContext runs one scenario.
 	SimulateContext(ctx context.Context, sc Scenario) (Outcome, error)
-	// Artifact / PutArtifact memoize plan-level derived payloads; see
+	// Artifact memoizes a plan-level derived value; see
 	// Session.Artifact.
-	Artifact(ctx context.Context, domain string, version int, plan Plan, compute func(context.Context) ([]byte, error)) ([]byte, error)
-	PutArtifact(domain string, version int, plan Plan, payload []byte)
+	Artifact(ctx context.Context, domain string, version int, plan Plan, out any, compute func(context.Context) (any, error)) error
 	// Stats reports scheduling counters. For a RemoteSession they are
 	// the daemon's cumulative counters across all clients; diff two
 	// snapshots (runner.Stats.Delta) for a per-invocation view.
@@ -582,7 +580,7 @@ var _ Executor = (*Session)(nil)
 
 // Session shares one run-orchestration layer (worker pool, memoized
 // result store, and sweep-level artifact cache; see internal/runner)
-// across many Simulate and Run calls, isolated from every other
+// across many SimulateContext and Run calls, isolated from every other
 // Session. Scenarios that overlap — the same benchmark under different
 // strategies, or single- and dual-cache resizing of the same
 // organization — re-use each other's simulations (including the
@@ -650,16 +648,11 @@ func (s *Session) Flush() error {
 	return s.store.Flush()
 }
 
-// Simulate runs a scenario on the session: it profiles the requested
-// strategy per the paper's methodology (offline sweep, minimum
+// SimulateContext runs a scenario on the session: it profiles the
+// requested strategy per the paper's methodology (offline sweep, minimum
 // energy-delay product) and returns the outcome. Repeated calls on one
-// session memoize against each other.
-func (s *Session) Simulate(sc Scenario) (Outcome, error) {
-	return s.SimulateContext(context.Background(), sc)
-}
-
-// SimulateContext is Simulate with cancellation: a cancelled context
-// stops the scenario's profiling sweeps between simulations.
+// session memoize against each other; a cancelled context stops the
+// scenario's profiling sweeps between simulations.
 func (s *Session) SimulateContext(ctx context.Context, sc Scenario) (Outcome, error) {
 	return simulate(ctx, sc, s.r)
 }
@@ -719,23 +712,18 @@ func planArtifactKey(domain string, version int, plan Plan) sim.Key {
 	return b.Sum()
 }
 
-// Artifact memoizes a derived payload — typically a figure's aggregated
+// Artifact memoizes a derived value — typically a figure's aggregated
 // row set — through the session's two-tier artifact cache (in-memory,
 // plus the persistent store when the session has one), keyed by
-// (domain, version) and the full content of the plan it aggregates. A
-// warm fingerprint returns the cached payload without touching the
-// plan's sweeps at all; a cold one runs compute once, with concurrent
-// calls for the same fingerprint joining it. Payloads must be valid
-// JSON (the store embeds them in JSON documents).
-func (s *Session) Artifact(ctx context.Context, domain string, version int, plan Plan, compute func(context.Context) ([]byte, error)) ([]byte, error) {
-	return s.r.Artifact(ctx, planArtifactKey(domain, version, plan), compute)
-}
-
-// PutArtifact force-installs a payload under Artifact's fingerprint,
-// replacing both tiers. Callers use it to repair a cached payload that
-// no longer decodes against their current schema.
-func (s *Session) PutArtifact(domain string, version int, plan Plan, payload []byte) {
-	s.r.PutArtifact(planArtifactKey(domain, version, plan), payload)
+// (domain, version) and the full content of the plan it aggregates, and
+// decodes it into out (a pointer, as for json.Unmarshal). A warm
+// fingerprint decodes the cached payload without touching the plan's
+// sweeps at all; a cold one runs compute once, with concurrent calls
+// for the same fingerprint joining it, and records the JSON encoding of
+// its value. A cached payload that does not decode into out is
+// recomputed once and overwritten in both tiers (see Runner.Artifact).
+func (s *Session) Artifact(ctx context.Context, domain string, version int, plan Plan, out any, compute func(context.Context) (any, error)) error {
+	return s.r.Artifact(ctx, planArtifactKey(domain, version, plan), out, compute)
 }
 
 func simulate(ctx context.Context, sc Scenario, r *runner.Runner) (Outcome, error) {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -18,14 +19,14 @@ func TestBenchmarksList(t *testing.T) {
 }
 
 func TestSimulateValidation(t *testing.T) {
-	if _, err := NewSession().Simulate(Scenario{}); err == nil {
+	if _, err := NewSession().SimulateContext(context.Background(), Scenario{}); err == nil {
 		t.Fatal("empty scenario accepted")
 	}
-	if _, err := NewSession().Simulate(Scenario{Benchmark: "gcc"}); err == nil {
+	if _, err := NewSession().SimulateContext(context.Background(), Scenario{Benchmark: "gcc"}); err == nil {
 		t.Fatal("non-resizable organization accepted")
 	}
 	err := func() error {
-		_, err := NewSession().Simulate(Scenario{Benchmark: "nosuch", Organization: SelectiveSets})
+		_, err := NewSession().SimulateContext(context.Background(), Scenario{Benchmark: "nosuch", Organization: SelectiveSets})
 		return err
 	}()
 	if err == nil {
@@ -42,7 +43,7 @@ func TestSimulateRejectsUnsupportedAssoc(t *testing.T) {
 	// Associativities the geometry layer cannot build must fail fast with
 	// a clear error instead of profiling a degenerate config.
 	for _, assoc := range []int{-1, 3, 5, 64} {
-		_, err := NewSession().Simulate(Scenario{Benchmark: "gcc", Organization: SelectiveSets, Assoc: assoc})
+		_, err := NewSession().SimulateContext(context.Background(), Scenario{Benchmark: "gcc", Organization: SelectiveSets, Assoc: assoc})
 		if err == nil {
 			t.Errorf("assoc %d accepted", assoc)
 			continue
@@ -110,12 +111,12 @@ func TestSessionSharesMemoizedResults(t *testing.T) {
 		Sides:        DOnly,
 		Instructions: 200_000,
 	}
-	first, err := s.Simulate(sc)
+	first, err := s.SimulateContext(context.Background(), sc)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cold := s.Stats()
-	second, err := s.Simulate(sc)
+	second, err := s.SimulateContext(context.Background(), sc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,14 +148,14 @@ func TestOutcomeStatsArePerCallDeltas(t *testing.T) {
 		Sides:        DOnly,
 		Instructions: 200_000,
 	}
-	cold, err := s.Simulate(sc)
+	cold, err := s.SimulateContext(context.Background(), sc)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if cold.Stats.Runs == 0 || cold.Stats.ArtifactComputes == 0 {
 		t.Errorf("cold outcome reports no work: %+v", cold.Stats)
 	}
-	warm, err := s.Simulate(sc)
+	warm, err := s.SimulateContext(context.Background(), sc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +189,7 @@ func TestSessionPersistsAcrossProcessesViaStore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	first, err := s1.Simulate(sc)
+	first, err := s1.SimulateContext(context.Background(), sc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +203,7 @@ func TestSessionPersistsAcrossProcessesViaStore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	second, err := s2.Simulate(sc)
+	second, err := s2.SimulateContext(context.Background(), sc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,6 +219,69 @@ func TestSessionPersistsAcrossProcessesViaStore(t *testing.T) {
 	}
 }
 
+// TestSessionArtifactRepairsUndecodablePayload: a plan artifact whose
+// stored payload no longer decodes (a store written by a foreign build)
+// costs exactly one compute — counted as a compute, not a store hit —
+// after which both cache tiers hold the repaired payload.
+func TestSessionArtifactRepairsUndecodablePayload(t *testing.T) {
+	type rows struct {
+		Name  string
+		Vals  []int
+		Cells map[string]int
+	}
+	plan, err := PlanOf(Scenario{Benchmark: "gcc", Organization: SelectiveSets, Instructions: 60_000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const domain, version = "test/repair", 1
+	store := runner.NewMemStore()
+	// Valid JSON (so every Store backend keeps it) that does not decode
+	// into rows, but would leave a stale map key behind a partial decode.
+	store.RecordArtifact(planArtifactKey(domain, version, plan),
+		[]byte(`{"Cells":{"stale":1},"Vals":"not-a-list"}`))
+
+	want := rows{Name: "fresh", Vals: []int{4, 5}, Cells: map[string]int{"fresh": 2}}
+	var computes int
+	compute := func(context.Context) (any, error) {
+		computes++
+		return want, nil
+	}
+	resolve := func(s *Session) rows {
+		t.Helper()
+		var got rows
+		if err := s.Artifact(context.Background(), domain, version, plan, &got, compute); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("Artifact = %+v, want %+v", got, want)
+		}
+		return got
+	}
+
+	s1, err := NewSessionWith(SessionOptions{Store: store})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resolve(s1)
+	if st := s1.Stats(); computes != 1 || st.ArtifactComputes != 1 || st.ArtifactStoreHits != 0 {
+		t.Fatalf("repair: %d computes, stats %+v; want 1 compute and no store hit", computes, st)
+	}
+	// Same session: the repaired in-memory tier decodes.
+	resolve(s1)
+	if st := s1.Stats(); computes != 1 || st.ArtifactHits != 1 {
+		t.Errorf("same-session repeat: %d computes, stats %+v; want a memo hit", computes, st)
+	}
+	// Fresh session, same store: the repaired persistent tier decodes.
+	s2, err := NewSessionWith(SessionOptions{Store: store})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resolve(s2)
+	if st := s2.Stats(); computes != 1 || st.ArtifactStoreHits != 1 || st.ArtifactComputes != 0 {
+		t.Errorf("fresh session: %d computes, stats %+v; want a store hit", computes, st)
+	}
+}
+
 func TestStrategyString(t *testing.T) {
 	if Static.String() != "static" || Dynamic.String() != "dynamic" {
 		t.Fatal("strategy strings wrong")
@@ -225,7 +289,7 @@ func TestStrategyString(t *testing.T) {
 }
 
 func TestSimulateSingleCache(t *testing.T) {
-	out, err := NewSession().Simulate(Scenario{
+	out, err := NewSession().SimulateContext(context.Background(), Scenario{
 		Benchmark:    "m88ksim",
 		Organization: SelectiveSets,
 		Sides:        DOnly,
@@ -249,7 +313,7 @@ func TestSimulateBothCachesDefault(t *testing.T) {
 	if testing.Short() {
 		t.Skip("combined sweep in -short mode")
 	}
-	out, err := NewSession().Simulate(Scenario{
+	out, err := NewSession().SimulateContext(context.Background(), Scenario{
 		Benchmark:    "ammp",
 		Organization: SelectiveSets,
 		Instructions: 300_000,
@@ -336,7 +400,7 @@ func TestL2ScenarioNormalization(t *testing.T) {
 }
 
 func TestSimulateL2Only(t *testing.T) {
-	out, err := NewSession().Simulate(Scenario{
+	out, err := NewSession().SimulateContext(context.Background(), Scenario{
 		Benchmark:    "m88ksim",
 		Sides:        L2Only,
 		L2:           L2Spec{Organization: SelectiveWays},
@@ -365,7 +429,7 @@ func TestSimulateL1PlusL2Combined(t *testing.T) {
 	if testing.Short() {
 		t.Skip("two profiling sweeps plus a combined run in -short mode")
 	}
-	out, err := NewSession().Simulate(Scenario{
+	out, err := NewSession().SimulateContext(context.Background(), Scenario{
 		Benchmark:    "m88ksim",
 		Organization: SelectiveSets,
 		Sides:        DOnly,
@@ -391,7 +455,7 @@ func TestSimulateHierarchies(t *testing.T) {
 		t.Skip("hierarchy sweep in -short mode")
 	}
 	for _, h := range []Hierarchy{NoL2, SmallL2, DeepL2L3} {
-		out, err := NewSession().Simulate(Scenario{
+		out, err := NewSession().SimulateContext(context.Background(), Scenario{
 			Benchmark:    "m88ksim",
 			Organization: SelectiveSets,
 			Sides:        DOnly,

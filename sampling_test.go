@@ -32,7 +32,7 @@ func TestSimulateSampled(t *testing.T) {
 		Instructions: 150_000,
 		Sampling:     DefaultSampling(),
 	}
-	out, err := s.Simulate(sc)
+	out, err := s.SimulateContext(context.Background(), sc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,11 +60,11 @@ func TestSampledScenarioMemoizesSeparately(t *testing.T) {
 	sampled.Sampling = DefaultSampling()
 
 	s := NewSession()
-	first, err := s.Simulate(sampled)
+	first, err := s.SimulateContext(context.Background(), sampled)
 	if err != nil {
 		t.Fatal(err)
 	}
-	second, err := s.Simulate(sc)
+	second, err := s.SimulateContext(context.Background(), sc)
 	if err != nil {
 		t.Fatal(err)
 	}
