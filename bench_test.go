@@ -1,18 +1,19 @@
 // Benchmark harness: one testing.B benchmark per table/figure of the
-// paper, plus ablation benchmarks for the design decisions listed in
-// DESIGN.md §4.
+// paper, raw-throughput benchmarks for the simulator's inner loop, and
+// ablation benchmarks that flip the sim.CacheSpec switches
+// AblationFullPrecharge and AblationFreeFlush (plus the
+// core.HybridMinWays tie-break and a zero dynamic size bound).
 //
-// The raw-throughput and figure benchmarks live in internal/benchsuite,
-// shared with cmd/bench (which records them into BENCH_<n>.json); the
-// thin Benchmark* shells here keep them runnable through `go test
-// -bench` with identical semantics. Each figure benchmark regenerates
-// its experiment at reduced fidelity (three representative apps, 400K
-// instructions) so the whole suite finishes in minutes; cmd/figures
-// runs the same drivers at full fidelity. Reported custom metrics
-// (edp_red_pct and friends) carry the experiment's headline result so
-// regressions in *results*, not just speed, show up in benchmark diffs.
-// The ablation and orchestration benchmarks below assert properties
-// (memo hits, barrier counts) and stay test-only.
+// Each figure benchmark regenerates its experiment at reduced fidelity
+// (three representative apps, 400K instructions) so the whole suite
+// finishes in minutes; cmd/figures runs the same drivers at full
+// fidelity. Reported custom metrics (edp_red_pct and friends) carry the
+// experiment's headline result so regressions in *results*, not just
+// speed, show up in benchmark diffs. The raw-throughput benchmarks
+// carry an instrs/op metric so ns/instr and instrs/sec are derivable.
+// The ablation and orchestration benchmarks assert properties (memo
+// hits, barrier counts). Performance claims are made against perfbench
+// (BENCHMARK.json), not these numbers; see perfbench/README.md.
 package resizecache_test
 
 import (
@@ -22,17 +23,24 @@ import (
 
 	"resizecache"
 	"resizecache/figures"
-	"resizecache/internal/benchsuite"
 	"resizecache/internal/core"
 	"resizecache/internal/experiment"
+	"resizecache/internal/geometry"
 	"resizecache/internal/runner"
 	"resizecache/internal/sim"
+	"resizecache/internal/workload"
 )
 
-// benchApps mirrors benchsuite.BenchApps for the test-only benchmarks.
-var benchApps = benchsuite.BenchApps
+// benchApps is the representative app slice the reduced-fidelity
+// benchmarks run: a small-working-set app, a conflict-bound app, and a
+// phase-varying app.
+var benchApps = []string{"m88ksim", "vpr", "su2cor"}
 
-func benchFigOpts() figures.Options { return benchsuite.FigOpts() }
+// benchFigOpts returns the reduced-fidelity figure options every figure
+// benchmark uses.
+func benchFigOpts() figures.Options {
+	return figures.Options{Instructions: 400_000, Apps: benchApps}
+}
 
 func benchOpts() experiment.Options {
 	o := experiment.DefaultOptions()
@@ -41,23 +49,250 @@ func benchOpts() experiment.Options {
 	return o
 }
 
-func BenchmarkTable1Hybrid(b *testing.B)            { benchsuite.Table1Hybrid(b) }
-func BenchmarkFigure4Organizations(b *testing.B)    { benchsuite.Figure4Organizations(b) }
-func BenchmarkFigure5PerApp(b *testing.B)           { benchsuite.Figure5PerApp(b) }
-func BenchmarkFigure6Hybrid(b *testing.B)           { benchsuite.Figure6Hybrid(b) }
-func BenchmarkFigure7DCacheStrategies(b *testing.B) { benchsuite.Figure7DCacheStrategies(b) }
-func BenchmarkFigure8ICacheStrategies(b *testing.B) { benchsuite.Figure8ICacheStrategies(b) }
-func BenchmarkFigure9DualResize(b *testing.B)       { benchsuite.Figure9DualResize(b) }
-func BenchmarkFigureL2Resizing(b *testing.B)        { benchsuite.FigureL2Resizing(b) }
-
+// ---------------------------------------------------------------------
 // Raw-throughput benchmarks (simulator engineering, not paper results).
+// ---------------------------------------------------------------------
 
-func BenchmarkSimRun(b *testing.B)              { benchsuite.SimRun(b) }
-func BenchmarkSimSampled(b *testing.B)          { benchsuite.SimSampled(b) }
-func BenchmarkSimRunDeepHierarchy(b *testing.B) { benchsuite.SimRunDeepHierarchy(b) }
-func BenchmarkSimInOrder(b *testing.B)          { benchsuite.SimInOrder(b) }
-func BenchmarkSweepGang(b *testing.B)           { benchsuite.SweepGang(b) }
-func BenchmarkWorkloadGenerator(b *testing.B)   { benchsuite.WorkloadGenerator(b) }
+// gcc200K is the base config every raw-throughput benchmark starts
+// from: gcc, 200K instructions.
+func gcc200K() sim.Config {
+	cfg := sim.Default("gcc")
+	cfg.Instructions = 200_000
+	return cfg
+}
+
+// benchSimRun times sim.Run of cfg and reports instrs/op, so ns/instr
+// and instrs/sec are derivable.
+func benchSimRun(b *testing.B, cfg sim.Config) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := sim.Run(cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(cfg.Instructions), "instrs/op")
+}
+
+// BenchmarkSimRun is the simulator's hot path on the base config. The
+// table-driven per-access path (precomputed energy tables, hoisted
+// geometry) is accountable to this number.
+func BenchmarkSimRun(b *testing.B) { benchSimRun(b, gcc200K()) }
+
+// BenchmarkSimRunDeepHierarchy is the same workload on an L2+L3 stack — the
+// hierarchy loop's cost scales with levels, not with a hard-wired chain.
+func BenchmarkSimRunDeepHierarchy(b *testing.B) {
+	cfg := gcc200K()
+	cfg.Levels = append(cfg.Levels, sim.LevelSpec{CacheSpec: sim.CacheSpec{
+		Geom: geometry.Geometry{SizeBytes: 2 << 20, Assoc: 8, BlockBytes: 64, SubarrayBytes: 4 << 10},
+		Org:  core.NonResizable,
+	}})
+	benchSimRun(b, cfg)
+}
+
+// BenchmarkSimInOrder times the latency-exposing engine on the base config.
+func BenchmarkSimInOrder(b *testing.B) {
+	cfg := gcc200K()
+	cfg.Engine = sim.InOrder
+	benchSimRun(b, cfg)
+}
+
+// BenchmarkSimSampled times interval-sampled execution of exactly the SimRun
+// workload (the default sampling schedule, warmup checkpointed through
+// an in-memory store as the runner does) and reports sampled_speedup_x:
+// the multiplier over a fully detailed sim.Run of the same config,
+// measured untimed each invocation. The first iteration computes and
+// records the warmup checkpoint; later iterations restore it, exactly
+// the steady state of a design-space sweep. edp_relse_pct reports the
+// estimate's own error bar (one relative standard error, in percent).
+func BenchmarkSimSampled(b *testing.B) {
+	full := gcc200K()
+	soloStart := time.Now()
+	if _, err := sim.Run(full); err != nil {
+		b.Fatal(err)
+	}
+	soloNs := float64(time.Since(soloStart).Nanoseconds())
+
+	cfg := full
+	cfg.Sampling = sim.DefaultSampling()
+	store := runner.NewMemStore()
+	var last sim.Result
+	b.ReportAllocs()
+	b.ResetTimer()
+	sampledStart := time.Now()
+	for i := 0; i < b.N; i++ {
+		res, _, err := sim.RunWithCheckpoints(cfg, store)
+		if err != nil {
+			b.Fatal(err)
+		}
+		last = res
+	}
+	sampledNs := float64(time.Since(sampledStart).Nanoseconds()) / float64(b.N)
+	if sampledNs > 0 {
+		b.ReportMetric(soloNs/sampledNs, "sampled_speedup_x")
+	}
+	if last.Sample != nil {
+		b.ReportMetric(100*last.Sample.EDPRelStdErr, "edp_relse_pct")
+	}
+	b.ReportMetric(float64(cfg.Instructions), "instrs/op")
+}
+
+// sweepGangConfigs returns the 8-configuration same-benchmark sweep the
+// gang benchmark measures: one benchmark's d-cache design points (four
+// capacities at two associativities), all sharing the simulation
+// front-end.
+func sweepGangConfigs() []sim.Config {
+	var cfgs []sim.Config
+	for _, assoc := range []int{2, 4} {
+		for _, kb := range []int{8, 16, 32, 64} {
+			cfg := gcc200K()
+			cfg.DCache.Geom.SizeBytes = kb << 10
+			cfg.DCache.Geom.Assoc = assoc
+			cfgs = append(cfgs, cfg)
+		}
+	}
+	return cfgs
+}
+
+// BenchmarkSweepGang times the 8-config sweep through one gang pass
+// (sim.RunGang) and reports gang_speedup_x: the multiplier over running
+// the same eight configs as independent sim.Runs (measured untimed each
+// invocation). This is the one-pass-sweep headline number; instrs/op
+// counts all eight members' instructions, so instrs/sec here is
+// sweep-cell throughput.
+func BenchmarkSweepGang(b *testing.B) {
+	cfgs := sweepGangConfigs()
+	soloStart := time.Now()
+	for _, cfg := range cfgs {
+		if _, err := sim.Run(cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+	soloNs := float64(time.Since(soloStart).Nanoseconds())
+
+	b.ReportAllocs()
+	b.ResetTimer()
+	gangStart := time.Now()
+	for i := 0; i < b.N; i++ {
+		if _, err := sim.RunGang(cfgs); err != nil {
+			b.Fatal(err)
+		}
+	}
+	gangNs := float64(time.Since(gangStart).Nanoseconds()) / float64(b.N)
+	if gangNs > 0 {
+		b.ReportMetric(soloNs/gangNs, "gang_speedup_x")
+	}
+	b.ReportMetric(float64(len(cfgs))*float64(cfgs[0].Instructions), "instrs/op")
+}
+
+// BenchmarkWorkloadGenerator times event synthesis alone.
+func BenchmarkWorkloadGenerator(b *testing.B) {
+	gen := workload.NewGenerator(workload.MustGet("gcc"))
+	var ev workload.Event
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if !gen.Next(&ev) {
+			gen = workload.NewGenerator(workload.MustGet("gcc"))
+		}
+	}
+}
+
+// ---------------------------------------------------------------------
+// Figure benchmarks: one per table/figure of the paper, each through
+// the declarative batch API on a fresh Session per iteration.
+// ---------------------------------------------------------------------
+
+// BenchmarkTable1Hybrid regenerates the hybrid size schedule.
+func BenchmarkTable1Hybrid(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		if _, err := figures.Table1(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// regenerate runs one figure driver b.N times, each on a fresh
+// Session at benchFigOpts fidelity, and returns the last result.
+func regenerate[T any](b *testing.B, fig func(context.Context, resizecache.Executor, figures.Options) (T, error)) T {
+	var last T
+	for i := 0; i < b.N; i++ {
+		var err error
+		if last, err = fig(context.Background(), resizecache.NewSession(), benchFigOpts()); err != nil {
+			b.Fatal(err)
+		}
+	}
+	return last
+}
+
+// BenchmarkFigure4Organizations regenerates the ways-vs-sets grid.
+func BenchmarkFigure4Organizations(b *testing.B) {
+	last := regenerate(b, figures.Figure4)
+	if v, ok := last.Cell(resizecache.DOnly, resizecache.SelectiveSets, 2); ok {
+		b.ReportMetric(v, "sets2way_edp_red_pct")
+	}
+	if v, ok := last.Cell(resizecache.DOnly, resizecache.SelectiveWays, 16); ok {
+		b.ReportMetric(v, "ways16way_edp_red_pct")
+	}
+}
+
+// BenchmarkFigure5PerApp regenerates the per-app comparison at 4-way.
+func BenchmarkFigure5PerApp(b *testing.B) {
+	last := regenerate(b, func(ctx context.Context, s resizecache.Executor, o figures.Options) (figures.Fig5Result, error) {
+		return figures.Figure5(ctx, s, resizecache.DOnly, o)
+	})
+	_, _, ew, es := last.Averages()
+	b.ReportMetric(ew, "ways_edp_red_pct")
+	b.ReportMetric(es, "sets_edp_red_pct")
+}
+
+// BenchmarkFigure6Hybrid regenerates the hybrid-organization comparison.
+func BenchmarkFigure6Hybrid(b *testing.B) {
+	last := regenerate(b, figures.Figure6)
+	if v, ok := last.Cell(resizecache.DOnly, resizecache.Hybrid, 4); ok {
+		b.ReportMetric(v, "hybrid4way_edp_red_pct")
+	}
+}
+
+// benchStrategyPanel regenerates one static/dynamic strategy panel.
+func benchStrategyPanel(b *testing.B, side resizecache.Sides, engine resizecache.Engine) {
+	last := regenerate(b, func(ctx context.Context, s resizecache.Executor, o figures.Options) (figures.Fig7Result, error) {
+		return figures.StrategyPanel(ctx, s, side, engine, o)
+	})
+	_, _, se, de := last.Averages()
+	b.ReportMetric(se, "static_edp_red_pct")
+	b.ReportMetric(de, "dynamic_edp_red_pct")
+}
+
+// BenchmarkFigure7DCacheStrategies regenerates the d-cache static/dynamic panel.
+func BenchmarkFigure7DCacheStrategies(b *testing.B) {
+	benchStrategyPanel(b, resizecache.DOnly, resizecache.InOrderEngine)
+}
+
+// BenchmarkFigure8ICacheStrategies regenerates the i-cache static/dynamic panel.
+func BenchmarkFigure8ICacheStrategies(b *testing.B) {
+	benchStrategyPanel(b, resizecache.IOnly, resizecache.OutOfOrderEngine)
+}
+
+// BenchmarkFigure9DualResize regenerates the both-caches experiment.
+func BenchmarkFigure9DualResize(b *testing.B) {
+	_, _, _, de, ie, be := regenerate(b, figures.Figure9).Averages()
+	b.ReportMetric(de+ie, "sum_edp_red_pct")
+	b.ReportMetric(be, "both_edp_red_pct")
+}
+
+// BenchmarkFigureL2Resizing regenerates the L2-resizing extension (static panel).
+func BenchmarkFigureL2Resizing(b *testing.B) {
+	last := regenerate(b, func(ctx context.Context, s resizecache.Executor, o figures.Options) (figures.FigL2Result, error) {
+		return figures.FigureL2(ctx, s, resizecache.Static, o)
+	})
+	if r, ok := last.Row(resizecache.SelectiveSets); ok {
+		b.ReportMetric(r.EDPReductionPct, "sets_l2_edp_red_pct")
+		b.ReportMetric(r.L2SizeRedPct, "sets_l2_size_red_pct")
+	}
+}
+
+// ---------------------------------------------------------------------
+// Plan batching.
+// ---------------------------------------------------------------------
 
 // BenchmarkPlanBatchVsSequential quantifies the tentpole property of
 // the batch API: one plan over N scenarios submits its profiling sweeps
@@ -117,7 +352,8 @@ func BenchmarkPlanBatchVsSequential(b *testing.B) {
 }
 
 // ---------------------------------------------------------------------
-// Ablations (DESIGN.md §4).
+// Ablations: the AblationFullPrecharge / AblationFreeFlush switches,
+// the HybridMinWays tie-break, and an unbounded dynamic controller.
 // ---------------------------------------------------------------------
 
 // staticSetsRun runs m88ksim with a statically downsized selective-sets
@@ -148,7 +384,7 @@ func staticSetsRun(b *testing.B, fullPrecharge, freeFlush bool, dynamic bool) fl
 	return cres.EDP.ReductionPct(bres.EDP)
 }
 
-// BenchmarkAblationFullPrecharge quantifies design decision 1: with all
+// BenchmarkAblationFullPrecharge flips AblationFullPrecharge: with all
 // subarrays precharging regardless of masks, resizing saves (almost)
 // nothing — the enabled-subarray accounting is where the benefit lives.
 func BenchmarkAblationFullPrecharge(b *testing.B) {
@@ -161,7 +397,7 @@ func BenchmarkAblationFullPrecharge(b *testing.B) {
 	b.ReportMetric(without, "fullprecharge_edp_red_pct")
 }
 
-// BenchmarkAblationFreeFlush quantifies design decision 3: the cost of
+// BenchmarkAblationFreeFlush flips AblationFreeFlush to price
 // selective-sets' flush semantics under dynamic resizing. su2cor's
 // periodic working set makes the controller resize repeatedly, so every
 // transition pays (or, ablated, skips) the flush traffic.
@@ -193,8 +429,9 @@ func BenchmarkAblationFreeFlush(b *testing.B) {
 	b.ReportMetric(free, "freeflush_edp_red_pct")
 }
 
-// BenchmarkAblationHybridTieBreak quantifies design decision 4: Table 1's
-// prefer-highest-associativity rule versus preferring the fewest ways.
+// BenchmarkAblationHybridTieBreak compares Table 1's
+// prefer-highest-associativity rule (core.Hybrid) with preferring the
+// fewest ways (core.HybridMinWays).
 func BenchmarkAblationHybridTieBreak(b *testing.B) {
 	opts := benchOpts()
 	ctx, r := context.Background(), runner.New(runner.Options{})
@@ -215,7 +452,7 @@ func BenchmarkAblationHybridTieBreak(b *testing.B) {
 	b.ReportMetric(minWays, "minways_edp_red_pct")
 }
 
-// BenchmarkAblationNoSizeBound quantifies design decision 5: removing the
+// BenchmarkAblationNoSizeBound sets SizeBoundBytes to zero, removing the
 // dynamic controller's thrash guard. ammp's working set fits 4K but not
 // 2K, so an unbounded controller oscillates at the bottom of the
 // schedule, flushing and refilling every other interval.

@@ -46,8 +46,8 @@ import (
 
 // determinismScope lists the deterministic simulation core: the
 // packages whose output must be a pure function of the config. The
-// reporting/benchmarking layers (benchsuite, prof, figures, cmds) may
-// legitimately read the clock and are excluded.
+// reporting/profiling layers (prof, figures, cmds) may legitimately
+// read the clock and are excluded.
 var determinismScope = map[string]bool{
 	"internal/sim":      true,
 	"internal/cpu":      true,

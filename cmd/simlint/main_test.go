@@ -79,7 +79,10 @@ func TestDeterminismScope(t *testing.T) {
 	if !inDeterminismScope(l, "resizecache/internal/sim") {
 		t.Error("internal/sim must be in the determinism scope")
 	}
-	if inDeterminismScope(l, "resizecache/internal/benchsuite") {
-		t.Error("benchsuite may read the clock; it must not be in scope")
+	if inDeterminismScope(l, "resizecache/internal/prof") {
+		t.Error("prof may read the clock; it must not be in scope")
+	}
+	if inDeterminismScope(l, "resizecache/figures") {
+		t.Error("figures may read the clock; it must not be in scope")
 	}
 }
