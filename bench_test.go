@@ -45,7 +45,6 @@ func benchFigOpts() figures.Options {
 func benchOpts() experiment.Options {
 	o := experiment.DefaultOptions()
 	o.Instructions = 400_000
-	o.Apps = benchApps
 	return o
 }
 
@@ -500,7 +499,6 @@ func BenchmarkRunnerMemoization(b *testing.B) {
 	var coldNS, warmNS, hits, runs float64
 	for i := 0; i < b.N; i++ {
 		opts := benchOpts()
-		opts.Apps = []string{"m88ksim"}
 		r := runner.New(runner.Options{})
 		sweep := func() {
 			for _, org := range orgs {

@@ -12,16 +12,20 @@
 //	figures -exp fig8                # i-cache static vs dynamic
 //	figures -exp fig9                # resizing both caches
 //	figures -exp l2                  # extension: resizing the shared L2
+//	figures -exp sens                # extension: the three sensitivity studies
+//	figures -exp sens-subarray       # subarray granularity (512B to 4K)
+//	figures -exp sens-interval       # dynamic controller interval
+//	figures -exp sens-l2             # L2 capacity behind the resized d-cache
 //	figures -exp fig4 -instr 500000  # faster, lower fidelity
 //	figures -exp fig5 -apps gcc,vpr  # restrict benchmarks
 //	figures -exp all -resume out/results.json   # resumable across runs
 //	figures -exp fig4 -server unix:/tmp/simd.sock  # run on a simd daemon
 //
-// Every figure runs through the declarative batch API: its grid expands
-// to a resizecache.Plan and executes via Session.Run, which enqueues
-// the whole grid's cold profiling sweeps on the shared worker pool in
-// one batched pass and streams scenario results as they complete
-// (-progress shows the completed-of-total count). Overlapping
+// Every figure and sensitivity study runs through the declarative batch
+// API: it declares a resizecache.Plan and executes it via Session.Run,
+// which enqueues the whole plan's cold profiling sweeps on the shared
+// worker pool in one batched pass and streams scenario results as they
+// complete (-progress shows the completed-of-total count). Overlapping
 // experiments — Figure 4's grid inside Figure 6's, the shared baselines
 // of Figures 5 and 9 — simulate each distinct configuration once, and
 // whole profiling sweeps memoize as sweep-level artifacts, so a figure
@@ -51,9 +55,7 @@ import (
 
 	"resizecache"
 	"resizecache/figures"
-	"resizecache/internal/experiment"
 	"resizecache/internal/prof"
-	"resizecache/internal/runner"
 )
 
 // main defers to realMain so the profiling stop (and every other defer)
@@ -73,7 +75,7 @@ func realMain() int {
 		server   = flag.String("server", "", "run plans on a simd daemon at this address (unix:<path> or host:port; a comma-separated list fails over) instead of in-process")
 		stats    = flag.Bool("stats", false, "print runner hit/miss statistics to stderr")
 		memo     = flag.Int("memolimit", 65536, "max in-memory memoized results, LRU-evicted beyond (0 = unbounded)")
-		progress = flag.Bool("progress", false, "print completed-of-total scenario progress to stderr (figure experiments only)")
+		progress = flag.Bool("progress", false, "print completed-of-total scenario progress to stderr")
 		sample   = flag.Bool("sample", false, "interval-sampled simulation (default schedule): several times faster, EDP reductions become estimates with error bars")
 		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf  = flag.String("memprofile", "", "write a heap profile to this file on exit")
@@ -104,29 +106,6 @@ func realMain() int {
 	var appList []string
 	if *apps != "" {
 		appList = strings.Split(*apps, ",")
-	}
-
-	if sensExperiment(*exp) {
-		// The sensitivity extensions vary parameters (subarray size, L2
-		// geometry) a Scenario cannot express, so they run on the
-		// experiment layer directly — batch-scheduled on their own runner,
-		// without the plan-level progress stream.
-		if *progress {
-			fmt.Fprintln(os.Stderr, "figures: -progress is not supported for sensitivity experiments")
-		}
-		if *sample {
-			fmt.Fprintln(os.Stderr, "figures: -sample is not supported for sensitivity experiments (they bypass the plan protocol)")
-			return 1
-		}
-		if *server != "" {
-			fmt.Fprintln(os.Stderr, "figures: -server is not supported for sensitivity experiments (they bypass the plan protocol)")
-			return 1
-		}
-		if err := runSens(ctx, *exp, *instr, appList, *par, *gang, *resume, *memo, *stats); err != nil {
-			fmt.Fprintln(os.Stderr, "figures:", err)
-			return 1
-		}
-		return 0
 	}
 
 	var session resizecache.Executor
@@ -173,22 +152,31 @@ func realMain() int {
 	// equals the cumulative counters.
 	before := session.Stats()
 	runErr := run(ctx, *exp, session, fopts)
-
-	if *resume != "" {
-		if err := session.Flush(); err != nil {
-			fmt.Fprintln(os.Stderr, "figures:", err)
-		} else {
-			fmt.Fprintf(os.Stderr, "figures: result store flushed to %s\n", *resume)
-		}
-	}
 	if *stats {
 		fmt.Fprintln(os.Stderr, "figures:", session.Stats().Delta(before))
 	}
+	return finish(session, *resume, runErr)
+}
+
+// finish flushes the session's store when storePath is set, reports
+// runErr, and returns the process exit status: 1 when the run or the
+// flush failed, since an unflushed store silently loses the run's
+// results for the next resume.
+func finish(s resizecache.Executor, storePath string, runErr error) int {
+	code := 0
+	if storePath != "" {
+		if err := s.Flush(); err != nil {
+			fmt.Fprintln(os.Stderr, "figures:", err)
+			code = 1
+		} else {
+			fmt.Fprintf(os.Stderr, "figures: result store flushed to %s\n", storePath)
+		}
+	}
 	if runErr != nil {
 		fmt.Fprintln(os.Stderr, "figures:", runErr)
-		return 1
+		code = 1
 	}
-	return 0
+	return code
 }
 
 // run regenerates the tables and figures selected by exp through the
@@ -273,74 +261,27 @@ func run(ctx context.Context, exp string, s resizecache.Executor, fopts figures.
 			fmt.Println(f.Render())
 		}
 	}
+	// Nor are the sensitivity studies: "sens" runs all three.
+	for _, st := range []struct {
+		name, title string
+		run         func(context.Context, resizecache.Executor, figures.Options) ([]figures.SensitivityRow, error)
+	}{
+		{"sens-subarray", "Sensitivity: subarray granularity (static selective-sets d-cache)", figures.SubarraySensitivity},
+		{"sens-interval", "Sensitivity: dynamic interval (in-order engine, d-cache)", figures.IntervalSensitivity},
+		{"sens-l2", "Sensitivity: L2 capacity (static selective-sets d-cache)", figures.L2Sensitivity},
+	} {
+		if exp != "sens" && exp != st.name {
+			continue
+		}
+		ran = true
+		rows, err := st.run(ctx, s, fopts)
+		if err != nil {
+			return err
+		}
+		fmt.Println(figures.RenderSensitivity(st.title, rows))
+	}
 	if !ran {
 		return fmt.Errorf("unknown experiment %q", exp)
 	}
 	return nil
-}
-
-// sensExperiment reports whether exp names an extension sensitivity
-// sweep (not part of "all").
-func sensExperiment(exp string) bool {
-	switch exp {
-	case "sens", "sens-subarray", "sens-interval", "sens-l2":
-		return true
-	}
-	return false
-}
-
-// runSens runs the extension sensitivity sweeps on the experiment layer.
-func runSens(ctx context.Context, exp string, instr uint64, apps []string, par, gang int, resume string, memo int, stats bool) error {
-	ropts := runner.Options{Workers: par, GangSize: gang, MemoLimit: memo}
-	var store *runner.DiskStore
-	if resume != "" {
-		var err error
-		store, err = runner.OpenDiskStore(resume)
-		if err != nil {
-			return err
-		}
-		ropts.Store = store
-	}
-	r := runner.New(ropts)
-
-	opts := experiment.DefaultOptions()
-	opts.Instructions = instr
-	opts.Apps = apps
-
-	sens := func(name string) bool { return exp == "sens" || exp == name }
-	var err error
-	if err == nil && sens("sens-subarray") {
-		var rows []experiment.SensitivityRow
-		if rows, err = experiment.SubarraySensitivity(ctx, r, opts); err == nil {
-			fmt.Println(experiment.RenderSensitivity(
-				"Sensitivity: subarray granularity (static selective-sets d-cache)", rows))
-		}
-	}
-	if err == nil && sens("sens-interval") {
-		var rows []experiment.SensitivityRow
-		if rows, err = experiment.IntervalSensitivity(ctx, r, opts); err == nil {
-			fmt.Println(experiment.RenderSensitivity(
-				"Sensitivity: dynamic interval (in-order engine, d-cache)", rows))
-		}
-	}
-	if err == nil && sens("sens-l2") {
-		var rows []experiment.SensitivityRow
-		if rows, err = experiment.L2Sensitivity(ctx, r, opts); err == nil {
-			fmt.Println(experiment.RenderSensitivity(
-				"Sensitivity: L2 capacity (static selective-sets d-cache)", rows))
-		}
-	}
-
-	if store != nil {
-		if ferr := store.Flush(); ferr != nil {
-			fmt.Fprintln(os.Stderr, "figures:", ferr)
-		} else {
-			fmt.Fprintf(os.Stderr, "figures: result store %s holds %d results, %d sweep artifacts\n",
-				store.Path(), store.Len(), store.ArtifactLen())
-		}
-	}
-	if stats {
-		fmt.Fprintln(os.Stderr, "figures:", r.Stats())
-	}
-	return err
 }

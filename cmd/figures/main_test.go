@@ -2,6 +2,8 @@ package main
 
 import (
 	"context"
+	"errors"
+	"path/filepath"
 	"testing"
 
 	"resizecache"
@@ -28,24 +30,53 @@ func TestRunUnknownExperiment(t *testing.T) {
 	}
 }
 
-func TestSensExperimentRouting(t *testing.T) {
-	for _, name := range []string{"sens", "sens-subarray", "sens-interval", "sens-l2"} {
-		if !sensExperiment(name) {
-			t.Errorf("%s not routed to the sensitivity path", name)
-		}
-	}
-	for _, name := range []string{"all", "fig4", "table1", "sensible"} {
-		if sensExperiment(name) {
-			t.Errorf("%s wrongly routed to the sensitivity path", name)
-		}
-	}
-}
-
 func TestRunFig5Tiny(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sweep in -short mode")
 	}
 	if err := run(context.Background(), "fig5", resizecache.NewSession(), tinyOpts()); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRunSensL2Tiny: the sensitivity studies run through the same
+// Executor as every figure.
+func TestRunSensL2Tiny(t *testing.T) {
+	if testing.Short() {
+		t.Skip("sweep in -short mode")
+	}
+	if err := run(context.Background(), "sens-l2", resizecache.NewSession(), tinyOpts()); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestFinishExitCodes: a failed run or a store that cannot be written
+// (here its directory is missing) fails the process; a flush failure
+// must not be swallowed into exit status 0.
+func TestFinishExitCodes(t *testing.T) {
+	missing := filepath.Join(t.TempDir(), "missing", "s.json")
+	session, err := resizecache.NewSessionWith(resizecache.SessionOptions{StorePath: missing})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if code := finish(session, missing, nil); code != 0 {
+		t.Fatalf("clean run with nothing to flush exited %d, want 0", code)
+	}
+	if code := finish(resizecache.NewSession(), "", errors.New("boom")); code != 1 {
+		t.Errorf("failed run exited %d, want 1", code)
+	}
+	// Record one cheap artifact so the flush has something to write.
+	plan, err := resizecache.PlanOf(resizecache.Scenario{Benchmark: "gcc",
+		Organization: resizecache.SelectiveSets})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out int
+	if err := session.Artifact(context.Background(), "flush-test", 1, plan, &out,
+		func(context.Context) (any, error) { return 1, nil }); err != nil {
+		t.Fatal(err)
+	}
+	if code := finish(session, missing, nil); code != 1 {
+		t.Errorf("failed flush exited %d, want 1", code)
 	}
 }

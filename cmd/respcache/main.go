@@ -189,12 +189,6 @@ func realMain() int {
 		fmt.Fprintln(os.Stderr, "respcache:", err)
 		return 1
 	}
-	if *server != "" {
-		// Ask the daemon to persist what this run contributed.
-		if err := session.Flush(); err != nil {
-			fmt.Fprintln(os.Stderr, "respcache:", err)
-		}
-	}
 
 	eng := "out-of-order"
 	if sc.InOrder {
@@ -218,6 +212,21 @@ func realMain() int {
 		out.Energy.L2Pct, out.Energy.MemPct)
 	if *stats {
 		fmt.Fprintln(os.Stderr, "respcache:", out.Stats)
+	}
+	if *server != "" {
+		// Ask the daemon to persist what this run contributed.
+		return flush(session)
+	}
+	return 0
+}
+
+// flush persists the session's store and returns the process exit
+// status: 1 when the flush failed, since the run's results are then
+// lost to every later client of the store.
+func flush(s resizecache.Executor) int {
+	if err := s.Flush(); err != nil {
+		fmt.Fprintln(os.Stderr, "respcache:", err)
+		return 1
 	}
 	return 0
 }

@@ -1,6 +1,8 @@
 package main
 
 import (
+	"context"
+	"path/filepath"
 	"testing"
 
 	"resizecache"
@@ -85,5 +87,32 @@ func TestParsersAcceptStringForms(t *testing.T) {
 		if err != nil || got != want {
 			t.Errorf("parseSides(%q) = %v, %v", in, got, err)
 		}
+	}
+}
+
+// TestFlushFailureExitsNonZero: a store that cannot be written (here
+// its directory is missing) must fail the process, not just print.
+func TestFlushFailureExitsNonZero(t *testing.T) {
+	session, err := resizecache.NewSessionWith(resizecache.SessionOptions{
+		StorePath: filepath.Join(t.TempDir(), "missing", "s.json")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if code := flush(session); code != 0 {
+		t.Fatalf("flushing a clean store exited %d, want 0", code)
+	}
+	// Record one cheap artifact so the flush has something to write.
+	plan, err := resizecache.PlanOf(resizecache.Scenario{Benchmark: "gcc",
+		Organization: resizecache.SelectiveSets})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out int
+	if err := session.Artifact(context.Background(), "flush-test", 1, plan, &out,
+		func(context.Context) (any, error) { return 1, nil }); err != nil {
+		t.Fatal(err)
+	}
+	if code := flush(session); code != 1 {
+		t.Errorf("failed flush exited %d, want 1", code)
 	}
 }

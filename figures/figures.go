@@ -1,12 +1,13 @@
-// Package figures regenerates the paper's tables and figures on top of
-// the public resizecache API. Every figure declares its design-space
-// grid as a resizecache.Grid, expands it to a Plan, and executes it
-// through Session.Run — one batched pass over the whole grid, with
-// every cold profiling sweep enqueued on the shared pool up front —
-// then aggregates the streamed outcomes into the figure's rows. Warm
-// grids (a session that already rendered an overlapping figure, or one
-// backed by a persistent store) resolve without submitting a single
-// simulation.
+// Package figures regenerates the paper's tables and figures, and the
+// extension sensitivity studies, on top of the public resizecache API.
+// Every figure declares its design space as a Plan — a
+// resizecache.Grid expansion, or for a sensitivity study an explicit
+// scenario list — and executes it through Session.Run: one batched pass
+// over the whole plan, with every cold profiling sweep enqueued on the
+// shared pool up front. It then aggregates the streamed outcomes into
+// the figure's rows. Warm plans (a session that already rendered an
+// overlapping figure, or one backed by a persistent store) resolve
+// without submitting a single simulation.
 package figures
 
 import (
@@ -54,13 +55,15 @@ type cell struct {
 	l2org   resizecache.Organization
 	l2strat resizecache.Strategy
 	l2assoc int
+	sub     int
+	ctl     resizecache.DynamicParams
 }
 
 func cellOf(sc resizecache.Scenario) cell {
 	return cell{app: sc.Benchmark, org: sc.Organization, strat: sc.Strategy,
 		assoc: sc.Assoc, sides: sc.Sides, inOrder: sc.InOrder,
 		hier: sc.Hierarchy, l2org: sc.L2.Organization, l2strat: sc.L2.Strategy,
-		l2assoc: sc.L2.Assoc}
+		l2assoc: sc.L2.Assoc, sub: sc.SubarrayBytes, ctl: sc.Controller}
 }
 
 // collect runs a plan through the session and indexes the outcomes by
@@ -95,17 +98,13 @@ const figureVersion = 1
 // aggregate is a pure function of the outcomes of its plan, so it
 // memoizes one tier above the per-sweep artifacts. A fully warm figure
 // (same session, or a persistent store) returns without probing a
-// single per-cell sweep; a cold one expands and runs the plan once and
-// caches the aggregate. A cached payload that no longer decodes (e.g. a
-// store written by a foreign build) is recomputed once and repaired by
+// single per-cell sweep; a cold one runs the plan once and caches the
+// aggregate. A cached payload that no longer decodes (e.g. a store
+// written by a foreign build) is recomputed once and repaired by
 // Executor.Artifact.
-func cachedFigure[T any](ctx context.Context, s resizecache.Executor, domain string, g resizecache.Grid, o Options, aggregate func(map[cell]resizecache.Outcome) (T, error)) (T, error) {
+func cachedFigure[T any](ctx context.Context, s resizecache.Executor, domain string, plan resizecache.Plan, o Options, aggregate func(map[cell]resizecache.Outcome) (T, error)) (T, error) {
 	var out T
-	plan, err := g.Expand()
-	if err != nil {
-		return out, err
-	}
-	err = s.Artifact(ctx, domain, figureVersion, plan, &out, func(ctx context.Context) (any, error) {
+	err := s.Artifact(ctx, domain, figureVersion, plan, &out, func(ctx context.Context) (any, error) {
 		outs, err := collect(ctx, s, plan, o)
 		if err != nil {
 			return nil, err
@@ -153,7 +152,7 @@ func (f Fig4Result) Cell(side resizecache.Sides, org resizecache.Organization, a
 // i-cache sides separately under the static strategy — the machinery of
 // Figures 4 and 6 — as one plan.
 func OrgGrid(ctx context.Context, s resizecache.Executor, orgs []resizecache.Organization, assocs []int, o Options) (Fig4Result, error) {
-	grid := resizecache.Grid{
+	plan, err := resizecache.Grid{
 		Benchmarks:    o.apps(),
 		Organizations: orgs,
 		Strategies:    []resizecache.Strategy{resizecache.Static},
@@ -161,9 +160,12 @@ func OrgGrid(ctx context.Context, s resizecache.Executor, orgs []resizecache.Org
 		Sides:         []resizecache.Sides{resizecache.DOnly, resizecache.IOnly},
 		Instructions:  o.Instructions,
 		Sampling:      o.Sampling,
+	}.Expand()
+	if err != nil {
+		return Fig4Result{}, err
 	}
 	apps := o.apps()
-	return cachedFigure(ctx, s, "org-grid", grid, o, func(outs map[cell]resizecache.Outcome) (Fig4Result, error) {
+	return cachedFigure(ctx, s, "org-grid", plan, o, func(outs map[cell]resizecache.Outcome) (Fig4Result, error) {
 		var f Fig4Result
 		for _, side := range []resizecache.Sides{resizecache.DOnly, resizecache.IOnly} {
 			for _, assoc := range assocs {
@@ -258,7 +260,7 @@ func Figure5(ctx context.Context, s resizecache.Executor, side resizecache.Sides
 	if side != resizecache.DOnly && side != resizecache.IOnly {
 		return Fig5Result{}, fmt.Errorf("figures: Figure 5 compares single-cache resizings (got %v)", side)
 	}
-	grid := resizecache.Grid{
+	plan, err := resizecache.Grid{
 		Benchmarks:    o.apps(),
 		Organizations: []resizecache.Organization{resizecache.SelectiveWays, resizecache.SelectiveSets},
 		Strategies:    []resizecache.Strategy{resizecache.Static},
@@ -266,8 +268,11 @@ func Figure5(ctx context.Context, s resizecache.Executor, side resizecache.Sides
 		Sides:         []resizecache.Sides{side},
 		Instructions:  o.Instructions,
 		Sampling:      o.Sampling,
+	}.Expand()
+	if err != nil {
+		return Fig5Result{}, err
 	}
-	return cachedFigure(ctx, s, "fig5", grid, o, func(outs map[cell]resizecache.Outcome) (Fig5Result, error) {
+	return cachedFigure(ctx, s, "fig5", plan, o, func(outs map[cell]resizecache.Outcome) (Fig5Result, error) {
 		sizeRed := func(out resizecache.Outcome) float64 {
 			if side == resizecache.IOnly {
 				return out.ICacheSizeReductionPct
@@ -356,7 +361,7 @@ func StrategyPanel(ctx context.Context, s resizecache.Executor, side resizecache
 	if side != resizecache.DOnly && side != resizecache.IOnly {
 		return Fig7Result{}, fmt.Errorf("figures: strategy panels compare single-cache resizings (got %v)", side)
 	}
-	grid := resizecache.Grid{
+	plan, err := resizecache.Grid{
 		Benchmarks:    o.apps(),
 		Organizations: []resizecache.Organization{resizecache.SelectiveSets},
 		Strategies:    []resizecache.Strategy{resizecache.Static, resizecache.Dynamic},
@@ -365,8 +370,11 @@ func StrategyPanel(ctx context.Context, s resizecache.Executor, side resizecache
 		Engines:       []resizecache.Engine{engine},
 		Instructions:  o.Instructions,
 		Sampling:      o.Sampling,
+	}.Expand()
+	if err != nil {
+		return Fig7Result{}, err
 	}
-	return cachedFigure(ctx, s, "strategy-panel", grid, o, func(outs map[cell]resizecache.Outcome) (Fig7Result, error) {
+	return cachedFigure(ctx, s, "strategy-panel", plan, o, func(outs map[cell]resizecache.Outcome) (Fig7Result, error) {
 		inOrder := engine == resizecache.InOrderEngine
 		sizeRed := func(out resizecache.Outcome) float64 {
 			if side == resizecache.IOnly {
@@ -476,7 +484,7 @@ func (f Fig9Result) Row(app string) (Fig9Row, bool) {
 // at its standalone profiled winner, matching the paper's
 // decoupled-profiling argument.
 func Figure9(ctx context.Context, s resizecache.Executor, o Options) (Fig9Result, error) {
-	grid := resizecache.Grid{
+	plan, err := resizecache.Grid{
 		Benchmarks:    o.apps(),
 		Organizations: []resizecache.Organization{resizecache.SelectiveSets},
 		Strategies:    []resizecache.Strategy{resizecache.Static},
@@ -484,8 +492,11 @@ func Figure9(ctx context.Context, s resizecache.Executor, o Options) (Fig9Result
 		Sides:         []resizecache.Sides{resizecache.DOnly, resizecache.IOnly, resizecache.BothSides},
 		Instructions:  o.Instructions,
 		Sampling:      o.Sampling,
+	}.Expand()
+	if err != nil {
+		return Fig9Result{}, err
 	}
-	return cachedFigure(ctx, s, "fig9", grid, o, func(outs map[cell]resizecache.Outcome) (Fig9Result, error) {
+	return cachedFigure(ctx, s, "fig9", plan, o, func(outs map[cell]resizecache.Outcome) (Fig9Result, error) {
 		var f Fig9Result
 		at := func(app string, side resizecache.Sides) resizecache.Outcome {
 			return outs[cell{app: app, org: resizecache.SelectiveSets,
@@ -552,7 +563,7 @@ func (f FigL2Result) Row(org resizecache.Organization) (FigL2Row, bool) {
 func FigureL2(ctx context.Context, s resizecache.Executor, strat resizecache.Strategy, o Options) (FigL2Result, error) {
 	orgs := []resizecache.Organization{
 		resizecache.SelectiveWays, resizecache.SelectiveSets, resizecache.Hybrid}
-	grid := resizecache.Grid{
+	plan, err := resizecache.Grid{
 		Benchmarks: o.apps(),
 		// The L1 organization axis is inert for L2-only cells; one value
 		// keeps the pre-dedup expansion small.
@@ -562,9 +573,12 @@ func FigureL2(ctx context.Context, s resizecache.Executor, strat resizecache.Str
 		L2Strategies:  []resizecache.Strategy{strat},
 		Instructions:  o.Instructions,
 		Sampling:      o.Sampling,
+	}.Expand()
+	if err != nil {
+		return FigL2Result{}, err
 	}
 	apps := o.apps()
-	return cachedFigure(ctx, s, "fig-l2", grid, o, func(outs map[cell]resizecache.Outcome) (FigL2Result, error) {
+	return cachedFigure(ctx, s, "fig-l2", plan, o, func(outs map[cell]resizecache.Outcome) (FigL2Result, error) {
 		f := FigL2Result{Strategy: strat}
 		for _, org := range orgs {
 			row := FigL2Row{Org: org}

@@ -121,3 +121,13 @@ func (f Fig9Result) Render() string {
 		"AVG.", dsz, isz, bsz, de, ie, be, de+ie)
 	return b.String()
 }
+
+// RenderSensitivity formats a sensitivity study as a text table.
+func RenderSensitivity(title string, rows []SensitivityRow) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "%s\n\n  %-36s %14s %14s\n", title, "parameter", "EDP red (%)", "size red (%)")
+	for _, r := range rows {
+		fmt.Fprintf(&b, "  %-36s %14.1f %14.1f\n", r.Label, r.EDPReductionPct, r.SizeRedPct)
+	}
+	return b.String()
+}

@@ -118,3 +118,10 @@ func TestFig9ResultAccessorsAndRender(t *testing.T) {
 		t.Error("empty averages should be zero")
 	}
 }
+
+func TestRenderSensitivity(t *testing.T) {
+	s := RenderSensitivity("title", []SensitivityRow{{Label: "x", EDPReductionPct: 1.5, SizeRedPct: 50}})
+	if !strings.Contains(s, "title") || !strings.Contains(s, "x") || !strings.Contains(s, "1.5") {
+		t.Fatalf("render = %q", s)
+	}
+}

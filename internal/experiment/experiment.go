@@ -1,8 +1,8 @@
 // Package experiment defines the paper's evaluation machinery: offline
 // profiling sweeps that select static sizes and dynamic parameters by
 // minimum energy-delay product (BestSpec over a SweepSpec, and
-// CombinedBests for the decoupled multi-cache run), plus the extension
-// sensitivity studies. The table/figure drivers themselves live in the
+// CombinedBests for the decoupled multi-cache run). The table/figure
+// drivers themselves — the sensitivity studies included — live in the
 // public figures package, built on the facade's Grid/Plan/Session.Run
 // batch API.
 //
@@ -13,8 +13,8 @@
 // baseline every sweep compares against — simulate at most once per
 // runner, and a plan's sweeps can be enqueued up front in one batched
 // pass (EnqueueSweeps) so gathers join in-flight work. On
-// top of that, every winner-selection sweep (BestSpec and the
-// sensitivity variants) memoizes its outcome as a sweep-level artifact
+// top of that, every winner-selection sweep (BestSpec) memoizes its
+// outcome as a sweep-level artifact
 // (see artifact.go), so a driver repeating a grid another figure
 // already profiled resolves the whole sweep — not just its simulations
 // — from cache. Every simulation is independently deterministic, so
@@ -30,7 +30,6 @@ import (
 	"resizecache/internal/geometry"
 	"resizecache/internal/runner"
 	"resizecache/internal/sim"
-	"resizecache/internal/workload"
 )
 
 // Side selects which cache of the hierarchy an experiment resizes.
@@ -67,8 +66,6 @@ func (s Side) String() string {
 type Options struct {
 	// Instructions per simulation.
 	Instructions uint64
-	// Apps restricts the benchmark list (nil = all twelve).
-	Apps []string
 	// Engine is the processor model (Figures 4-6 and 9 use the
 	// out-of-order base configuration).
 	Engine sim.EngineKind
@@ -77,13 +74,6 @@ type Options struct {
 // DefaultOptions returns full-fidelity settings.
 func DefaultOptions() Options {
 	return Options{Instructions: 1_500_000, Engine: sim.OutOfOrder}
-}
-
-func (o Options) apps() []string {
-	if len(o.Apps) > 0 {
-		return o.Apps
-	}
-	return workload.Names()
 }
 
 // l1Geom returns the experiments' 32K L1 geometry at a set-associativity.
@@ -239,17 +229,19 @@ func pickBest(res []sim.Result) int {
 // SweepSpec identifies one profiling sweep — the unit a BestSpec call
 // executes, and the unit plan-level batch scheduling enqueues up front
 // (see EnqueueSweeps). Base is the fully resolved non-resizable
-// baseline config (benchmark, engine, instruction budget,
-// associativities, and any sensitivity overrides such as subarray or L2
-// geometry); the sweep derives its candidate configs from it
-// deterministically, so a spec built twice enumerates byte-identical
-// batches and fingerprints to the same artifact.
+// baseline config (benchmark, engine, instruction budget, L1
+// geometries, and hierarchy); the sweep derives its candidate configs
+// from it deterministically, so a spec built twice enumerates
+// byte-identical batches and fingerprints to the same artifact. A
+// dynamic sweep profiles the controller grid of dynamicCandidates, or
+// only Controller when that is non-zero.
 type SweepSpec struct {
-	App     string
-	Side    Side
-	Org     core.Organization
-	Dynamic bool
-	Base    sim.Config
+	App        string
+	Side       Side
+	Org        core.Organization
+	Dynamic    bool
+	Controller DynamicParams
+	Base       sim.Config
 }
 
 // NewSweepSpec builds the spec for one (app, side, org, assoc) sweep
@@ -301,6 +293,9 @@ func (s SweepSpec) sweep() (cfgs []sim.Config, describe func(bestIdx int) (strin
 	cfgs = []sim.Config{s.Base}
 	if s.Dynamic {
 		cands := dynamicCandidates(sched, s.Side == L2Side)
+		if s.Controller != (DynamicParams{}) {
+			cands = []DynamicParams{s.Controller}
+		}
 		for _, p := range cands {
 			cfg := s.Base
 			applySide(&cfg, s.Side, sim.CacheSpec{Geom: geom, Org: s.Org,

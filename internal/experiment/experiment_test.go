@@ -224,12 +224,11 @@ func TestDynamicCandidatesDeduplicated(t *testing.T) {
 	}
 }
 
-// tinyArtifactOpts runs one app at minimal fidelity — enough to
-// exercise caching plumbing without a full-fidelity sweep.
+// tinyArtifactOpts runs at minimal fidelity — enough to exercise
+// caching plumbing without a full-fidelity sweep.
 func tinyArtifactOpts() Options {
 	opts := DefaultOptions()
 	opts.Instructions = 60_000
-	opts.Apps = []string{"m88ksim"}
 	return opts
 }
 
@@ -278,7 +277,7 @@ func TestSweepArtifactWarmsAcrossDrivers(t *testing.T) {
 		t.Helper()
 		for _, side := range []Side{DSide, ISide} {
 			for _, org := range orgs {
-				for _, app := range opts.apps() {
+				for _, app := range []string{"m88ksim"} {
 					if _, err := BestSpec(ctx, r, NewSweepSpec(app, side, org, 2, false, opts)); err != nil {
 						t.Fatal(err)
 					}

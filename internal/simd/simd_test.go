@@ -442,3 +442,79 @@ func TestOldShapePlanFramesDecode(t *testing.T) {
 		t.Errorf("old-shape plan outcomes differ:\n got %+v\nwant %+v", got, want)
 	}
 }
+
+// TestPlanWithL1ResizingKnobs: a plan that sets Scenario.SubarrayBytes
+// and Scenario.Controller streams from the daemon exactly the outcomes
+// an in-process session computes — the fields survive the wire instead
+// of silently falling back to the 1K-subarray, profiled-controller
+// defaults. A scenario whose knobs do not validate is refused with an
+// error frame for that request (RemoteSession.Run reports it as every
+// scenario's Err), and the connection stays usable.
+func TestPlanWithL1ResizingKnobs(t *testing.T) {
+	ctx := context.Background()
+	ctl := resizecache.DynamicParams{Interval: 2048, MissBound: 20, SizeBoundBytes: 4 << 10, UpsizeHold: 3}
+	plan, err := resizecache.PlanOf(
+		resizecache.Scenario{Benchmark: "m88ksim", Organization: resizecache.SelectiveSets,
+			Strategy: resizecache.Dynamic, Sides: resizecache.DOnly, InOrder: true,
+			SubarrayBytes: 2 << 10, Controller: ctl, Instructions: 60_000},
+		resizecache.Scenario{Benchmark: "gcc", Organization: resizecache.SelectiveSets,
+			Sides: resizecache.DOnly, SubarrayBytes: 512, Instructions: 60_000},
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := resizecache.Collect(resizecache.NewSession().Run(ctx, plan))
+	if err != nil {
+		t.Fatal(err)
+	}
+	zeroStats(want)
+	if want[0].Outcome.DChosen != "dynamic mb=20 sb=4K" {
+		t.Fatalf("local fixed controller chose %q", want[0].Outcome.DChosen)
+	}
+
+	addr, _ := startDaemon(t, simd.Options{})
+	remote, err := resizecache.Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer remote.Close()
+	got, err := resizecache.Collect(remote.Run(ctx, plan))
+	if err != nil {
+		t.Fatal(err)
+	}
+	zeroStats(got)
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("remote outcomes differ from the local session:\n got %+v\nwant %+v", got, want)
+	}
+
+	// A hand-rolled frame can carry what PlanOf would refuse: here a
+	// fixed controller on a static scenario.
+	nc, err := net.Dial("unix", strings.TrimPrefix(addr, "unix:"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nc.Close()
+	invalid, err := json.Marshal([]resizecache.Scenario{{Benchmark: "m88ksim",
+		Organization: resizecache.SelectiveSets, Sides: resizecache.DOnly,
+		Controller: ctl, Instructions: 60_000}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := wire.WriteFrame(nc, wire.Request{V: wire.ProtocolVersion, ID: 1,
+		Op: wire.OpPlan, Scenarios: invalid}); err != nil {
+		t.Fatal(err)
+	}
+	var resp wire.Response
+	if err := wire.ReadFrame(nc, &resp); err != nil {
+		t.Fatal(err)
+	}
+	if resp.ID != 1 || resp.Kind != wire.KindError || !strings.Contains(resp.Err, "Controller") {
+		t.Fatalf("invalid plan answered with %+v, want an error frame naming Controller", resp)
+	}
+	if err := wire.WriteFrame(nc, wire.Request{V: wire.ProtocolVersion, ID: 2, Op: wire.OpPing}); err != nil {
+		t.Fatal(err)
+	}
+	if err := wire.ReadFrame(nc, &resp); err != nil || resp.ID != 2 || resp.Kind != wire.KindReply {
+		t.Fatalf("connection unusable after the invalid plan: %+v, %v", resp, err)
+	}
+}

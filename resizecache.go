@@ -286,6 +286,13 @@ type Scenario struct {
 	// positive power of two no larger than the 32K cache's subarray
 	// count allows (32 at the base 1K subarrays).
 	Assoc int
+	// SubarrayBytes is the subarray size of the L1 cache(s) the
+	// scenario resizes (0 = the base 1K). It sets the resizing
+	// granularity: selective-sets shrinks no further than Assoc ×
+	// SubarrayBytes. It must be a power of two no larger than a way
+	// (32K / Assoc), and an L2Only scenario, which resizes no L1, must
+	// leave it unset.
+	SubarrayBytes int `json:",omitzero"`
 	// Hierarchy selects the shared-cache stack below the L1s (default
 	// BaseL2, the paper's 512K 4-way unified L2).
 	Hierarchy Hierarchy
@@ -306,7 +313,22 @@ type Scenario struct {
 	// detail. Sampled and detailed runs of the same experiment memoize
 	// separately (Sampling is part of the config fingerprint).
 	Sampling SamplingSpec
+	// Controller fixes the dynamic controller of the resized L1(s) at one
+	// setting instead of profiling its parameter grid; the zero value
+	// profiles the grid. A non-zero Controller needs Strategy == Dynamic,
+	// an L1 side, Interval > 0, and non-negative bounds.
+	Controller DynamicParams `json:",omitzero"`
 }
+
+// DynamicParams is one setting of the miss-ratio controller: the
+// interval (in cache accesses) it decides on, the per-interval
+// miss-bound above which it upsizes, the size-bound it never shrinks
+// below, and how many intervals an upsize holds off the next downsize.
+type DynamicParams = experiment.DynamicParams
+
+// baseSubarrayBytes is the L1 subarray size of the paper's base
+// configuration.
+const baseSubarrayBytes = 1 << 10
 
 // normalize validates a scenario and fills defaults, returning the
 // canonical form shared by SimulateContext and Plan expansion: Assoc and
@@ -324,14 +346,25 @@ func (sc Scenario) normalize() (Scenario, error) {
 	if sc.Assoc == 0 {
 		sc.Assoc = 2
 	}
-	// Reject associativities the geometry layer cannot build (negative,
-	// non-power-of-two way sizes, ways smaller than a subarray) up front,
-	// instead of surfacing a degenerate schedule from deep inside a sweep.
+	if sc.SubarrayBytes == baseSubarrayBytes {
+		sc.SubarrayBytes = 0 // the base subarray, spelled explicitly
+	}
+	// Reject associativities and subarrays the geometry layer cannot
+	// build (negative, non-power-of-two way sizes, ways smaller than a
+	// subarray) up front, instead of surfacing a degenerate schedule from
+	// deep inside a sweep.
 	l1 := geometry.Geometry{SizeBytes: 32 << 10, Assoc: sc.Assoc,
-		BlockBytes: 32, SubarrayBytes: 1 << 10}
+		BlockBytes: 32, SubarrayBytes: baseSubarrayBytes}
 	if err := l1.Validate(); err != nil {
 		return Scenario{}, fmt.Errorf("resizecache: unsupported associativity %d for the 32K L1: %w",
 			sc.Assoc, err)
+	}
+	if sc.SubarrayBytes != 0 {
+		l1.SubarrayBytes = sc.SubarrayBytes
+		if err := l1.Validate(); err != nil {
+			return Scenario{}, fmt.Errorf("resizecache: unsupported subarray size %d for the %d-way 32K L1: %w",
+				sc.SubarrayBytes, sc.Assoc, err)
+		}
 	}
 	if sc.Instructions == 0 {
 		sc.Instructions = 1_500_000
@@ -418,6 +451,25 @@ func (sc Scenario) normalize() (Scenario, error) {
 		}
 		sc.Sides, sc.Strategy = L2Only, Static
 	}
+
+	// The L1 resizing knobs need an L1 to resize, and a fixed controller
+	// a dynamic strategy to drive.
+	if sc.Sides == L2Only && sc.SubarrayBytes != 0 {
+		return Scenario{}, fmt.Errorf("resizecache: SubarrayBytes sets the resized L1s' subarrays, but an L2Only scenario resizes no L1")
+	}
+	if c := sc.Controller; c != (DynamicParams{}) {
+		switch {
+		case sc.Sides == L2Only:
+			return Scenario{}, fmt.Errorf("resizecache: Controller fixes the resized L1s' controller, but an L2Only scenario resizes no L1")
+		case sc.Strategy != Dynamic:
+			return Scenario{}, fmt.Errorf("resizecache: Controller needs Strategy=Dynamic (got %v)", sc.Strategy)
+		case c.Interval == 0:
+			return Scenario{}, fmt.Errorf("resizecache: Controller.Interval must be positive")
+		case c.SizeBoundBytes < 0 || c.UpsizeHold < 0:
+			return Scenario{}, fmt.Errorf("resizecache: Controller bounds must be non-negative (size-bound %d, upsize hold %d)",
+				c.SizeBoundBytes, c.UpsizeHold)
+		}
+	}
 	return sc, nil
 }
 
@@ -438,6 +490,12 @@ func (sc Scenario) baseSimConfig() (sim.Config, error) {
 	}
 	base.Levels = levels
 	base.Sampling = sc.Sampling
+	if sc.SubarrayBytes != 0 && sc.resizesD() {
+		base.DCache.Geom.SubarrayBytes = sc.SubarrayBytes
+	}
+	if sc.SubarrayBytes != 0 && sc.resizesI() {
+		base.ICache.Geom.SubarrayBytes = sc.SubarrayBytes
+	}
 	return base, nil
 }
 
@@ -460,11 +518,11 @@ func (sc Scenario) sweepSpecs() ([]experiment.SweepSpec, error) {
 	var specs []experiment.SweepSpec
 	if sc.resizesD() {
 		specs = append(specs, experiment.SweepSpec{App: sc.Benchmark, Side: experiment.DSide,
-			Org: sc.Organization, Dynamic: sc.Strategy == Dynamic, Base: base})
+			Org: sc.Organization, Dynamic: sc.Strategy == Dynamic, Controller: sc.Controller, Base: base})
 	}
 	if sc.resizesI() {
 		specs = append(specs, experiment.SweepSpec{App: sc.Benchmark, Side: experiment.ISide,
-			Org: sc.Organization, Dynamic: sc.Strategy == Dynamic, Base: base})
+			Org: sc.Organization, Dynamic: sc.Strategy == Dynamic, Controller: sc.Controller, Base: base})
 	}
 	if sc.resizesL2() {
 		specs = append(specs, experiment.SweepSpec{App: sc.Benchmark, Side: experiment.L2Side,
@@ -693,6 +751,15 @@ func planArtifactKey(domain string, version int, plan Plan) sim.Key {
 		b.U64(sc.Sampling.DetailedInstructions)
 		b.U64(sc.Sampling.FastForwardInstructions)
 		b.U64(sc.Sampling.SkipInstructions)
+		// The L1 resizing knobs are encoded only when set, so plans that
+		// leave them at their defaults keep the keys they had before the
+		// knobs existed (and stores written then stay warm).
+		if sc.SubarrayBytes != 0 {
+			b.Str("subarray").Int(sc.SubarrayBytes)
+		}
+		if c := sc.Controller; c != (DynamicParams{}) {
+			b.Str("controller").U64(c.Interval).U64(c.MissBound).Int(c.SizeBoundBytes).Int(c.UpsizeHold)
+		}
 		specs, err := sc.sweepSpecs()
 		if err != nil {
 			// Only reachable for a scenario that bypassed normalize; give

@@ -399,6 +399,74 @@ func TestL2ScenarioNormalization(t *testing.T) {
 	}
 }
 
+// TestL1ResizingKnobNormalization: SubarrayBytes and Controller are
+// validated up front, and the base subarray spelled explicitly folds to
+// the default so the two spellings deduplicate in a plan.
+func TestL1ResizingKnobNormalization(t *testing.T) {
+	ctl := DynamicParams{Interval: 4096, MissBound: 40, SizeBoundBytes: 4 << 10, UpsizeHold: 3}
+	sets := func(sc Scenario) Scenario {
+		sc.Benchmark, sc.Organization = "gcc", SelectiveSets
+		return sc
+	}
+	l2Only := func(sc Scenario) Scenario {
+		sc.Benchmark, sc.Sides, sc.L2 = "gcc", L2Only, L2Spec{Organization: SelectiveWays}
+		return sc
+	}
+	for _, tc := range []struct {
+		name, want string
+		sc         Scenario
+	}{
+		{"non-power-of-two subarray", "subarray", sets(Scenario{SubarrayBytes: 3 << 10})},
+		{"negative subarray", "subarray", sets(Scenario{SubarrayBytes: -1024})},
+		{"subarray wider than a 16-way way", "subarray", sets(Scenario{Assoc: 16, SubarrayBytes: 4 << 10})},
+		{"subarray on L2Only", "L2Only", l2Only(Scenario{SubarrayBytes: 2 << 10})},
+		{"controller with Static", "Strategy=Dynamic", sets(Scenario{Controller: ctl})},
+		{"controller with zero interval", "Interval", sets(Scenario{Strategy: Dynamic,
+			Controller: DynamicParams{MissBound: 40}})},
+		{"controller with negative size-bound", "non-negative", sets(Scenario{Strategy: Dynamic,
+			Controller: DynamicParams{Interval: 4096, SizeBoundBytes: -1}})},
+		{"controller with negative upsize hold", "non-negative", sets(Scenario{Strategy: Dynamic,
+			Controller: DynamicParams{Interval: 4096, UpsizeHold: -1}})},
+		{"controller on L2Only", "L2Only", l2Only(Scenario{Controller: ctl})},
+	} {
+		n, err := tc.sc.normalize()
+		if err == nil {
+			t.Errorf("%s: accepted as %+v", tc.name, n)
+		} else if !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: error %q does not mention %q", tc.name, err, tc.want)
+		}
+	}
+
+	plan, err := PlanOf(
+		Scenario{Benchmark: "gcc", Organization: SelectiveSets, Sides: DOnly, SubarrayBytes: 1 << 10},
+		Scenario{Benchmark: "gcc", Organization: SelectiveSets, Sides: DOnly},
+		Scenario{Benchmark: "gcc", Organization: SelectiveSets, Sides: DOnly, SubarrayBytes: 512},
+		Scenario{Benchmark: "gcc", Organization: SelectiveSets, Sides: DOnly, Strategy: Dynamic, Controller: ctl},
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := plan.Len(); got != 3 {
+		t.Errorf("plan has %d scenarios, want 3 (1K subarray spelled out folds into the default)", got)
+	}
+}
+
+// TestControllerFixesTheDynamicSetting: a fixed Controller is the only
+// candidate its sweep profiles, so it is what the outcome reports.
+func TestControllerFixesTheDynamicSetting(t *testing.T) {
+	out, err := NewSession().SimulateContext(context.Background(), Scenario{
+		Benchmark: "m88ksim", Organization: SelectiveSets, Strategy: Dynamic, Sides: DOnly,
+		Controller:   DynamicParams{Interval: 2048, MissBound: 20, SizeBoundBytes: 4 << 10, UpsizeHold: 3},
+		Instructions: 60_000,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := "dynamic mb=20 sb=4K"; out.DChosen != want {
+		t.Errorf("DChosen = %q, want %q", out.DChosen, want)
+	}
+}
+
 func TestSimulateL2Only(t *testing.T) {
 	out, err := NewSession().SimulateContext(context.Background(), Scenario{
 		Benchmark:    "m88ksim",
